@@ -13,6 +13,16 @@
 let sizes = ref [ 4; 6; 8 ]
 let per_solve_limit = ref 120.
 
+(* Nearest-rank percentile [p] in (0, 1] of sorted samples: the value at
+   rank ⌈p·n⌉.  A tail percentile (above the median, short of the maximum)
+   is reported only with at least ten samples above it; with fewer it
+   would be the maximum under another name. *)
+let nearest_rank sorted p =
+  let n = Array.length sorted in
+  let rank = max 1 (int_of_float (Float.ceil (p *. float_of_int n))) in
+  if n = 0 || (p > 0.5 && p < 1. && n - rank < 10) then None
+  else Some sorted.(rank - 1)
+
 let hr title =
   Printf.printf "\n%s\n%s\n%!" title (String.make (String.length title) '=')
 
@@ -655,13 +665,8 @@ let bench_serve () =
           |> List.sort Float.compare
           |> Array.of_list
         in
-        let percentile p =
-          if Array.length latencies = 0 then 0.
-          else
-            latencies.(min
-                         (Array.length latencies - 1)
-                         (int_of_float
-                            (p *. float_of_int (Array.length latencies))))
+        let latency name p =
+          Option.map (fun v -> (name, v)) (nearest_rank latencies p)
         in
         [ ("jobs", float_of_int n_jobs);
           ("completed", float_of_int (List.length dones));
@@ -669,10 +674,12 @@ let bench_serve () =
           ("degraded", float_of_int degraded);
           ("wall_s", wall);
           ("jobs_per_s", float_of_int (List.length dones) /. wall);
-          ("latency_p50_s", percentile 0.50);
-          ("latency_p99_s", percentile 0.99);
           ( "shed_rate",
             float_of_int (List.length rejected) /. float_of_int n_jobs ) ]
+        @ List.filter_map Fun.id
+            [ latency "latency_p50_s" 0.50;
+              latency "latency_p99_s" 0.99;
+              latency "latency_max_s" 1. ]
   in
   run_cases ~experiment:"serve" ~output:"BENCH_serve.json"
     [ ("mr_burst", serve_series) ]
@@ -793,21 +800,34 @@ let () =
   Logs.set_reporter (Logs.format_reporter ());
   Logs.set_level (Some Logs.Warning);
   let args = List.tl (Array.to_list Sys.argv) in
+  let usage () =
+    prerr_endline
+      "usage: main.exe [--sizes N,N,...] [--limit SECONDS] [ARTIFACT...]";
+    exit 2
+  in
+  let number flag of_string spec =
+    match of_string spec with
+    | Some v -> v
+    | None ->
+        Printf.eprintf "%s: not a number: %S\n" flag spec;
+        usage ()
+  in
   let rec parse selected = function
     | [] -> List.rev selected
     | "--sizes" :: spec :: rest ->
         sizes :=
-          List.map int_of_string (String.split_on_char ',' spec);
+          List.map (number "--sizes" int_of_string_opt)
+            (String.split_on_char ',' spec);
         parse selected rest
     | "--limit" :: spec :: rest ->
-        per_solve_limit := float_of_string spec;
+        per_solve_limit := number "--limit" float_of_string_opt spec;
         parse selected rest
     | name :: rest ->
         if List.mem_assoc name artifacts then parse (name :: selected) rest
         else begin
           Printf.eprintf "unknown artifact %S; known: %s\n" name
             (String.concat ", " (List.map fst artifacts));
-          exit 2
+          usage ()
         end
   in
   let selected = parse [] args in

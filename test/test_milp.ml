@@ -294,33 +294,78 @@ let test_simplex_shifted_bounds () =
 (* Backend cross-validation                                            *)
 
 (* Random pure-boolean models with mixed-sign coefficients. *)
-let arb_bool_model =
-  let gen =
-    QCheck.Gen.(
-      let* nvars = int_range 1 8 in
-      let* nrows = int_range 0 6 in
-      let* rows =
-        list_repeat nrows
-          (let* terms =
-             list_size (int_range 1 4)
-               (pair (int_range 0 (nvars - 1)) (int_range (-4) 4))
-           in
-           let* cmp = oneofl [ Model.Le; Model.Ge; Model.Eq ] in
-           let* rhs = int_range (-3) 5 in
-           return (terms, cmp, rhs))
+let gen_row nvars =
+  QCheck.Gen.(
+    let* terms =
+      list_size (int_range 1 4)
+        (pair (int_range 0 (nvars - 1)) (int_range (-4) 4))
+    in
+    let* cmp = oneofl [ Model.Le; Model.Ge; Model.Eq ] in
+    let* rhs = int_range (-3) 5 in
+    return (terms, cmp, rhs))
+
+let gen_objective nvars =
+  QCheck.Gen.(
+    list_size (int_range 0 nvars)
+      (pair (int_range 0 (nvars - 1)) (int_range (-5) 9)))
+
+let gen_small_model =
+  QCheck.Gen.(
+    let* nvars = int_range 1 8 in
+    let* nrows = int_range 0 6 in
+    let* rows = list_repeat nrows (gen_row nvars) in
+    let* obj = gen_objective nvars in
+    return (nvars, rows, obj))
+
+(* The larger size: enough variables and rows for conflicts and learning,
+   mostly clause rows (Σ literals ≥ 1, a negative term being the
+   complement) and cardinality rows, mostly at-most-k — the shapes of
+   ILP-MR's path rows and of learned clauses. *)
+let gen_large_model =
+  QCheck.Gen.(
+    let* nvars = int_range 12 16 in
+    let var = int_range 0 (nvars - 1) in
+    let clause =
+      let* lits =
+        list_size (int_range 2 4)
+          (pair var (frequency [ (3, return true); (1, return false) ]))
       in
-      let* obj =
-        list_size (int_range 0 nvars)
-          (pair (int_range 0 (nvars - 1)) (int_range (-5) 9))
+      let negatives =
+        List.length (List.filter (fun (_, pos) -> not pos) lits)
       in
-      return (nvars, rows, obj))
-  in
+      return
+        ( List.map (fun (x, pos) -> (x, if pos then 1 else -1)) lits,
+          Model.Ge,
+          1 - negatives )
+    in
+    let cardinality =
+      let* xs = list_size (int_range 2 5) var in
+      let* k = int_range 1 2 in
+      let* cmp = frequency [ (3, return Model.Le); (1, return Model.Ge) ] in
+      return (List.map (fun x -> (x, 1)) xs, cmp, k)
+    in
+    let* nrows = int_range 10 30 in
+    let* rows =
+      list_repeat nrows
+        (frequency [ (6, clause); (4, cardinality); (1, gen_row nvars) ])
+    in
+    let* obj = gen_objective nvars in
+    return (nvars, rows, obj))
+
+let arb_of_gen gen =
   let print (nvars, rows, obj) =
     Printf.sprintf "nvars=%d rows=%d obj=%s" nvars (List.length rows)
       (String.concat ","
          (List.map (fun (x, c) -> Printf.sprintf "%d:%d" x c) obj))
   in
   QCheck.make gen ~print
+
+let arb_bool_model = arb_of_gen gen_small_model
+
+(* What the PB properties draw: both sizes. *)
+let arb_pb_model =
+  arb_of_gen
+    QCheck.Gen.(frequency [ (2, gen_small_model); (1, gen_large_model) ])
 
 let build_model (nvars, rows, obj) =
   let m = Model.create () in
@@ -351,10 +396,10 @@ let outcomes_agree o1 o2 =
   | Solver.Infeasible, Solver.Infeasible -> true
   | _ -> false
 
-let prop_backends_agree backend =
+let prop_backends_agree arb backend =
   QCheck.Test.make
     ~name:(Printf.sprintf "%s = brute force" (Solver.backend_name backend))
-    ~count:150 arb_bool_model (fun spec ->
+    ~count:150 arb (fun spec ->
       let reference, _ =
         Solver.solve ~backend:Solver.Brute_force ~presolve:false
           (build_model spec)
@@ -364,7 +409,7 @@ let prop_backends_agree backend =
 
 let prop_optimal_solution_is_feasible =
   QCheck.Test.make ~name:"pb optimum is feasible and matches objective"
-    ~count:150 arb_bool_model (fun spec ->
+    ~count:150 arb_pb_model (fun spec ->
       let m = build_model spec in
       match Solver.solve ~backend:Solver.Pseudo_boolean m with
       | Solver.Optimal { objective; solution }, _ ->
@@ -445,6 +490,47 @@ let test_equality_row_propagation () =
       checkf "all forced" 3. objective;
       checkb "no search needed" true (stats.Solver.nodes <= 3)
   | _ -> Alcotest.fail "expected optimal"
+
+(* Pigeonhole PHP(8,7): 8 "pigeon in some hole" clause rows and 7 "hole
+   holds at most one pigeon" cardinality rows.  Refuting it takes
+   thousands of learned clauses, so the learned-clause database is reduced
+   (and its watches rebuilt) at restarts along the way.  With [slack],
+   pigeon i may instead stay out at cost 1 (s_i in its clause row): the
+   optimum is then 1, behind the same refutation of cost 0. *)
+let pigeonhole ~slack =
+  let pigeons = 8 and holes = 7 in
+  let m = Model.create () in
+  let p = Array.init pigeons (fun _ -> Model.bool_vars m holes) in
+  let sum xs = Lin_expr.of_terms (List.map (fun x -> (x, 1.)) xs) in
+  let out = if slack then Model.bool_vars m pigeons else [||] in
+  Array.iteri
+    (fun i row ->
+      let row = Array.to_list row in
+      let row = if slack then out.(i) :: row else row in
+      Model.add_constraint m (sum row) Model.Ge 1.)
+    p;
+  for h = 0 to holes - 1 do
+    Model.add_constraint m
+      (sum (List.init pigeons (fun i -> p.(i).(h))))
+      Model.Le 1.
+  done;
+  Model.set_objective m (sum (Array.to_list out));
+  Milp.Pb_solver.solve m
+
+let test_pigeonhole_refuted () =
+  match pigeonhole ~slack:false with
+  | Milp.Pb_solver.Infeasible, stats ->
+      checkb "database reduced along the way" true
+        (stats.Milp.Pb_solver.learned > 2000)
+  | _ -> Alcotest.fail "PHP(8,7) is infeasible"
+
+let test_pigeonhole_slack_optimum () =
+  match pigeonhole ~slack:true with
+  | Milp.Pb_solver.Optimal { objective; _ }, stats ->
+      checkf "one pigeon stays out" 1. objective;
+      checkb "database reduced along the way" true
+        (stats.Milp.Pb_solver.learned > 2000)
+  | _ -> Alcotest.fail "PHP(8,7) with slack has optimum 1"
 
 let test_time_limit_returns () =
   (* a deliberately large model: the solver must respect the limit *)
@@ -595,8 +681,8 @@ let () =
           quick "unbounded" test_simplex_unbounded;
           quick "shifted bounds" test_simplex_shifted_bounds ] );
       ( "backends",
-        [ prop (prop_backends_agree Solver.Pseudo_boolean);
-          prop (prop_backends_agree Solver.Lp_branch_bound);
+        [ prop (prop_backends_agree arb_pb_model Solver.Pseudo_boolean);
+          prop (prop_backends_agree arb_bool_model Solver.Lp_branch_bound);
           prop prop_optimal_solution_is_feasible;
           quick "presolve preserves optimum" test_presolve_preserves_optimum;
           quick "fixed variables respected" test_pb_respects_fixed_vars;
@@ -605,6 +691,9 @@ let () =
           quick "negative objective coefficients"
             test_negative_objective_coefficients;
           quick "equality rows propagate" test_equality_row_propagation;
+          quick "pigeonhole PHP(8,7) refuted" test_pigeonhole_refuted;
+          quick "pigeonhole with slack: optimum 1"
+            test_pigeonhole_slack_optimum;
           quick "node limit returns" test_time_limit_returns ] );
       ( "obj_bound",
         [ prop prop_obj_bound_is_valid;
