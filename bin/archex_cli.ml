@@ -102,6 +102,16 @@ let pos_float_conv =
   in
   Arg.conv (parse, fun ppf v -> Format.fprintf ppf "%g" v)
 
+(* The same for counts: a node budget of zero or less can only fail. *)
+let pos_int_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some v when v > 0 -> Ok v
+    | Some _ -> Error (`Msg "must be strictly positive")
+    | None -> Error (`Msg (Printf.sprintf "invalid value %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let obs_args =
   let trace_arg =
     let doc =
@@ -1119,7 +1129,7 @@ let certify_cmd =
     let doc =
       "Node budget per certifying search (default 2,000,000)."
     in
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some pos_int_conv) None
          & info [ "node-budget" ] ~doc ~docv:"N")
   in
   let doc =

@@ -24,7 +24,7 @@ let ( let* ) = Result.bind
 let errf fmt = Printf.ksprintf (fun s -> Error s) fmt
 
 (* ------------------------------------------------------------------ *)
-(* Interval arithmetic over a partial assignment                       *)
+(* Compiled models: interval arithmetic over a partial assignment      *)
 
 (* [value.(x)] is the branch assignment; NaN means unassigned, in which
    case the variable ranges over its model bounds. *)
@@ -32,57 +32,103 @@ let unassigned = Float.nan
 
 let is_assigned v = not (Float.is_nan v)
 
-let minmax_expr m value e =
-  let lo = ref (Lin_expr.constant e) and hi = ref (Lin_expr.constant e) in
-  List.iter
-    (fun (x, a) ->
-      let v = value.(x) in
-      if is_assigned v then begin
-        lo := !lo +. (a *. v);
-        hi := !hi +. (a *. v)
-      end
-      else begin
-        let c1 = a *. Model.lower_bound m x in
-        let c2 = a *. Model.upper_bound m x in
-        lo := !lo +. Float.min c1 c2;
-        hi := !hi +. Float.max c1 c2
-      end)
-    (Lin_expr.terms e);
-  (!lo, !hi)
+(* A linear expression as parallel arrays in [Lin_expr.terms] order.
+   [umin.(k)]/[umax.(k)] are what term [k] contributes to the minimum and
+   maximum while its variable is unassigned: the smaller and larger of
+   [a·lb] and [a·ub], computed once. *)
+type expr = {
+  vars : int array;
+  coefs : float array;
+  umin : float array;
+  umax : float array;
+  const : float;
+}
 
-let row_tol (r : Model.row) =
-  let scale =
-    List.fold_left
-      (fun acc (_, a) -> Float.max acc (Float.abs a))
-      (Float.max 1. (Float.abs r.Model.rhs))
-      (Lin_expr.terms r.Model.expr)
+type row = { e : expr; cmp : Model.cmp; rhs : float; tol : float }
+
+type compiled = {
+  lb : float array;
+  ub : float array;
+  rows : row array;
+  obj : expr;
+}
+
+let compile_expr lb ub e =
+  let terms = Array.of_list (Lin_expr.terms e) in
+  let vars = Array.map fst terms and coefs = Array.map snd terms in
+  let over_bounds pick =
+    Array.mapi
+      (fun k x -> pick (coefs.(k) *. lb.(x)) (coefs.(k) *. ub.(x)))
+      vars
   in
-  1e-9 *. scale
+  { vars;
+    coefs;
+    umin = over_bounds Float.min;
+    umax = over_bounds Float.max;
+    const = Lin_expr.constant e }
 
-(* A row no assignment extending [value] can satisfy. *)
-let row_infeasible m value (r : Model.row) =
-  let lo, hi = minmax_expr m value r.Model.expr in
-  let tol = row_tol r in
-  match r.Model.cmp with
-  | Model.Ge -> hi < r.Model.rhs -. tol
-  | Model.Le -> lo > r.Model.rhs +. tol
-  | Model.Eq -> hi < r.Model.rhs -. tol || lo > r.Model.rhs +. tol
+let compile m =
+  let n = Model.var_count m in
+  let lb = Array.init n (Model.lower_bound m) in
+  let ub = Array.init n (Model.upper_bound m) in
+  let row { Model.expr; cmp; rhs; _ } =
+    let e = compile_expr lb ub expr in
+    (* feasibility tolerance relative to the row's own scale *)
+    let scale =
+      Array.fold_left
+        (fun acc a -> Float.max acc (Float.abs a))
+        (Float.max 1. (Float.abs rhs))
+        e.coefs
+    in
+    { e; cmp; rhs; tol = 1e-9 *. scale }
+  in
+  { lb;
+    ub;
+    rows = Array.of_list (List.map row (Model.constraints m));
+    obj = compile_expr lb ub (Model.objective m) }
+
+type range = { mutable lo : float; mutable hi : float }
+
+(* The range of [e] over every extension of [value], written to [r]: the
+   one evaluator behind every leaf condition, in generator and checker. *)
+let minmax value e r =
+  let lo = ref e.const and hi = ref e.const in
+  for k = 0 to Array.length e.vars - 1 do
+    let v = value.(e.vars.(k)) in
+    if is_assigned v then begin
+      let av = e.coefs.(k) *. v in
+      lo := !lo +. av;
+      hi := !hi +. av
+    end
+    else begin
+      lo := !lo +. e.umin.(k);
+      hi := !hi +. e.umax.(k)
+    end
+  done;
+  r.lo <- !lo;
+  r.hi <- !hi
+
+(* Whether no extension can satisfy [row], given its range [r]. *)
+let infeasible row r =
+  match row.cmp with
+  | Model.Ge -> r.hi < row.rhs -. row.tol
+  | Model.Le -> r.lo > row.rhs +. row.tol
+  | Model.Eq -> r.hi < row.rhs -. row.tol || r.lo > row.rhs +. row.tol
+
+let min_objective cm value r =
+  minmax value cm.obj r;
+  r.lo
 
 (* Minimal improvement a better solution would need: with an all-integral
    objective the next value down is a full unit away, otherwise only a
    relative tolerance separates "better" from "equal".  Recomputed from
    the model by both generator and checker — never trusted from the
    certificate. *)
-let objective_gap m c =
+let objective_gap cm c =
   let integral a = Float.abs (a -. Float.round a) < 1e-9 in
-  let obj = Model.objective m in
-  if
-    List.for_all (fun (_, a) -> integral a) (Lin_expr.terms obj)
-    && integral (Lin_expr.constant obj)
-  then 1. -. 1e-6
+  if Array.for_all integral cm.obj.coefs && integral cm.obj.const then
+    1. -. 1e-6
   else 1e-6 *. Float.max 1. (Float.abs c)
-
-let min_objective m value = fst (minmax_expr m value (Model.objective m))
 
 (* ------------------------------------------------------------------ *)
 (* Incumbent verification — shared by generator and checker            *)
@@ -115,96 +161,108 @@ let default_node_budget = 2_000_000
 
 exception Cert_error of string
 
+(* A row's cached state in the search: [row_infeasible], or the first
+   free unassigned variable one of whose values alone would make the row
+   infeasible (its "bad" branch then closes as a one-node leaf), or -1. *)
+let row_infeasible = -2
+
+(* The first such variable from term [k] on.  [need_hi]: the row needs
+   its max kept high (Ge sense); otherwise its min kept low (Le sense). *)
+let rec first_forced free value row r ~need_hi k =
+  if k = Array.length row.e.vars then -1
+  else
+    let x = row.e.vars.(k) and width = Float.abs row.e.coefs.(k) in
+    let bad =
+      if need_hi then r.hi -. width < row.rhs -. row.tol
+      else r.lo +. width > row.rhs +. row.tol
+    in
+    if free.(x) && (not (is_assigned value.(x))) && bad then x
+    else first_forced free value row r ~need_hi (k + 1)
+
+let row_state free value row r =
+  minmax value row.e r;
+  if infeasible row r then row_infeasible
+  else
+    match row.cmp with
+    | Model.Ge -> first_forced free value row r ~need_hi:true 0
+    | Model.Le -> first_forced free value row r ~need_hi:false 0
+    | Model.Eq ->
+        let x = first_forced free value row r ~need_hi:true 0 in
+        if x >= 0 then x else first_forced free value row r ~need_hi:false 0
+
 let leaf_bound = J.Obj [ ("leaf", J.Str "bound") ]
-let leaf_infeasible i =
-  J.Obj [ ("leaf", J.Str "infeasible"); ("row", J.Num (float_of_int i)) ]
-let branch x zero one =
-  J.Obj [ ("var", J.Num (float_of_int x)); ("zero", zero); ("one", one) ]
 
 let certify ?(node_budget = default_node_budget) m ~incumbent =
   if not (Model.is_pure_boolean m) then
-    Error "certify: only pure 0-1 models are certifiable"
+    Error "only pure 0-1 models are certifiable"
   else begin
     let* () =
       match incumbent with
       | None -> Ok ()
-      | Some inc ->
-          Result.map_error (fun e -> "certify: " ^ e) (verify_incumbent m inc)
+      | Some inc -> verify_incumbent m inc
     in
-    let nvars = Model.var_count m in
-    let rows = Array.of_list (Model.constraints m) in
+    let cm = compile m in
+    let nvars = Model.var_count m and nrows = Array.length cm.rows in
     let value = Array.make nvars unassigned in
-    let free x = Model.lower_bound m x < Model.upper_bound m x in
+    let free = Array.init nvars (fun x -> cm.lb.(x) < cm.ub.(x)) in
     let gap =
-      match incumbent with Some (c, _) -> objective_gap m c | None -> 0.
+      match incumbent with Some (c, _) -> objective_gap cm c | None -> 0.
     in
     (* static branch order: objective weight descending, so the incumbent
        bound engages as early as possible; row-forced variables override
        it dynamically *)
     let by_cost =
       let coef = Array.make nvars 0. in
-      List.iter
-        (fun (x, a) -> coef.(x) <- a)
-        (Lin_expr.terms (Model.objective m));
+      Array.iteri (fun k x -> coef.(x) <- cm.obj.coefs.(k)) cm.obj.vars;
       List.init nvars Fun.id
-      |> List.filter free
+      |> List.filter (fun x -> free.(x))
       |> List.sort (fun a b ->
              Float.compare (Float.abs coef.(b)) (Float.abs coef.(a)))
       |> Array.of_list
     in
-    (* One pass over the rows: the first infeasible row, or failing that a
-       variable one of whose values would make some row infeasible (its
-       "bad" branch then closes as a one-node leaf). *)
-    let scan () =
-      let forced = ref None in
-      let hit = ref None in
-      (try
-         Array.iteri
-           (fun i r ->
-             let lo, hi = minmax_expr m value r.Model.expr in
-             let tol = row_tol r in
-             let rhs = r.Model.rhs in
-             let ge_bad = hi < rhs -. tol in
-             let le_bad = lo > rhs +. tol in
-             let infeasible =
-               match r.Model.cmp with
-               | Model.Ge -> ge_bad
-               | Model.Le -> le_bad
-               | Model.Eq -> ge_bad || le_bad
-             in
-             if infeasible then begin
-               hit := Some i;
-               raise Exit
-             end;
-             if !forced = None then begin
-               let try_force need_hi =
-                 (* [need_hi]: the row needs its max kept high (Ge sense);
-                    otherwise its min kept low (Le sense) *)
-                 List.iter
-                   (fun (x, a) ->
-                     if !forced = None && free x && not (is_assigned value.(x))
-                     then begin
-                       let width = Float.abs a in
-                       if need_hi then begin
-                         if hi -. width < rhs -. tol then
-                           forced := Some x
-                       end
-                       else if lo +. width > rhs +. tol then forced := Some x
-                     end)
-                   (Lin_expr.terms r.Model.expr)
-               in
-               (match r.Model.cmp with
-               | Model.Ge -> try_force true
-               | Model.Le -> try_force false
-               | Model.Eq ->
-                   try_force true;
-                   try_force false)
-             end)
-           rows
-       with Exit -> ());
-      match !hit with
-      | Some i -> `Infeasible i
-      | None -> ( match !forced with Some x -> `Forced x | None -> `Open)
+    (* the rows each variable occurs in *)
+    let occ =
+      let acc = Array.make nvars [] in
+      for i = nrows - 1 downto 0 do
+        Array.iter (fun x -> acc.(x) <- i :: acc.(x)) cm.rows.(i).e.vars
+      done;
+      Array.map Array.of_list acc
+    in
+    (* A row's state depends on its own variables only, so setting or
+       unsetting [x] recomputes the rows in [occ.(x)] — from scratch, in
+       term order, so every range is the same float as a full rescan's. *)
+    let r = { lo = 0.; hi = 0. } in
+    let state =
+      Array.init nrows (fun i -> row_state free value cm.rows.(i) r)
+    in
+    let assign x v =
+      value.(x) <- v;
+      let rows = occ.(x) in
+      for k = 0 to Array.length rows - 1 do
+        let i = rows.(k) in
+        state.(i) <- row_state free value cm.rows.(i) r
+      done
+    in
+    (* the first infeasible row, or failing that the first row's forced
+       variable *)
+    let rec scan i forced =
+      if i = nrows then if forced >= 0 then `Forced forced else `Open
+      else
+        let s = state.(i) in
+        if s = row_infeasible then `Infeasible i
+        else scan (i + 1) (if forced < 0 then s else forced)
+    in
+    (* tree pieces are immutable, so every node shares them *)
+    let leaves =
+      Array.init nrows (fun i ->
+          J.Obj
+            [ ("leaf", J.Str "infeasible"); ("row", J.Num (float_of_int i)) ])
+    in
+    let var_fields =
+      Array.init nvars (fun x -> ("var", J.Num (float_of_int x)))
+    in
+    let branch x zero one =
+      J.Obj [ var_fields.(x); ("zero", zero); ("one", one) ]
     in
     let nodes = ref 0 in
     let pick_static () =
@@ -223,14 +281,13 @@ let certify ?(node_budget = default_node_budget) m ~incumbent =
       if !nodes > node_budget then
         raise
           (Cert_error
-             (Printf.sprintf "certify: node budget exceeded (%d nodes)"
-                node_budget));
-      match scan () with
-      | `Infeasible i -> leaf_infeasible i
+             (Printf.sprintf "node budget exceeded (%d nodes)" node_budget));
+      match scan 0 (-1) with
+      | `Infeasible i -> leaves.(i)
       | (`Forced _ | `Open) as s -> (
           let bounded =
             match incumbent with
-            | Some (c, _) -> min_objective m value >= c -. gap
+            | Some (c, _) -> min_objective cm value r >= c -. gap
             | None -> false
           in
           if bounded then leaf_bound
@@ -240,11 +297,11 @@ let certify ?(node_budget = default_node_budget) m ~incumbent =
             in
             match x with
             | Some x ->
-                value.(x) <- 0.;
+                assign x 0.;
                 let zero = dfs () in
-                value.(x) <- 1.;
+                assign x 1.;
                 let one = dfs () in
-                value.(x) <- unassigned;
+                assign x unassigned;
                 branch x zero one
             | None ->
                 (* complete feasible assignment that neither an infeasible
@@ -254,13 +311,11 @@ let certify ?(node_budget = default_node_budget) m ~incumbent =
                      (match incumbent with
                      | Some (c, _) ->
                          Printf.sprintf
-                           "certify: found a feasible solution with \
-                            objective %g, better than the incumbent %g — \
-                            solver result is not optimal"
-                           (min_objective m value) c
-                     | None ->
-                         "certify: model is feasible but was claimed \
-                          infeasible")))
+                           "found a feasible solution with objective %g, \
+                            better than the incumbent %g — solver result \
+                            is not optimal"
+                           (min_objective cm value r) c
+                     | None -> "model is feasible but was claimed infeasible")))
     in
     match dfs () with
     | exception Cert_error e -> Error e
@@ -322,7 +377,8 @@ let check cert =
   let* model_json = field "model" cert in
   let* m = Model.of_json model_json in
   let nvars = Model.var_count m in
-  let rows = Array.of_list (Model.constraints m) in
+  let cm = compile m in
+  let nrows = Array.length cm.rows in
   let* incumbent =
     match J.mem "incumbent" cert with
     | None -> Ok None
@@ -353,11 +409,21 @@ let check cert =
         Result.map_error (fun e -> "certificate: " ^ e) (verify_incumbent m inc)
   in
   let gap =
-    match incumbent with Some (c, _) -> objective_gap m c | None -> 0.
+    match incumbent with Some (c, _) -> objective_gap cm c | None -> 0.
   in
   let value = Array.make nvars unassigned in
+  let r = { lo = 0.; hi = 0. } in
   let count = ref 0 in
-  let rec walk path t =
+  (* a node's path is kept as its branch tags, innermost first, and
+     rendered only into an error message *)
+  let at rev_tags = String.concat "." ("tree" :: List.rev rev_tags) in
+  let index name t rev_tags =
+    let* v = field name t in
+    match v with
+    | J.Num x when Float.is_integer x -> Ok (int_of_float x)
+    | v -> int_field (at rev_tags ^ "." ^ name) v
+  in
+  let rec walk rev_tags t =
     incr count;
     match t with
     | J.Obj fields when List.mem_assoc "leaf" fields -> (
@@ -365,69 +431,69 @@ let check cert =
         | J.Str "bound" -> (
             match incumbent with
             | None ->
-                errf "%s: bound leaf in an infeasibility certificate" path
+                errf "%s: bound leaf in an infeasibility certificate"
+                  (at rev_tags)
             | Some (c, _) ->
-                let lo = min_objective m value in
+                let lo = min_objective cm value r in
                 if lo >= c -. gap then Ok ()
                 else
                   errf
                     "%s: bound leaf not justified — min achievable \
                      objective %g is below incumbent %g - gap %g"
-                    path lo c gap)
+                    (at rev_tags) lo c gap)
         | J.Str "infeasible" ->
-            let* i =
-              Result.bind (field "row" t) (int_field (path ^ ".row"))
-            in
-            if i < 0 || i >= Array.length rows then
-              errf "%s: row index %d out of range (%d rows)" path i
-                (Array.length rows)
-            else if row_infeasible m value rows.(i) then Ok ()
-            else
-              errf
-                "%s: row %d (%s) is still satisfiable under the branch \
-                 assignment"
-                path i
-                (match rows.(i).Model.cname with
-                | Some n -> n
-                | None -> "<unnamed>")
-        | v -> errf "%s: unknown leaf kind %s" path (J.to_string v))
+            let* i = index "row" t rev_tags in
+            if i < 0 || i >= nrows then
+              errf "%s: row index %d out of range (%d rows)" (at rev_tags) i
+                nrows
+            else begin
+              minmax value cm.rows.(i).e r;
+              if infeasible cm.rows.(i) r then Ok ()
+              else
+                errf
+                  "%s: row %d (%s) is still satisfiable under the branch \
+                   assignment"
+                  (at rev_tags) i
+                  (match (List.nth (Model.constraints m) i).Model.cname with
+                  | Some n -> n
+                  | None -> "<unnamed>")
+            end
+        | v -> errf "%s: unknown leaf kind %s" (at rev_tags) (J.to_string v))
     | J.Obj fields when List.mem_assoc "var" fields ->
-        let* x =
-          Result.bind (field "var" t) (int_field (path ^ ".var"))
-        in
+        let* x = index "var" t rev_tags in
         if x < 0 || x >= nvars then
-          errf "%s: variable index %d out of range (%d vars)" path x nvars
+          errf "%s: variable index %d out of range (%d vars)" (at rev_tags) x
+            nvars
         else if Model.kind_of m x <> Model.Boolean then
-          errf "%s: branch on non-Boolean variable %s" path (Model.name_of m x)
+          errf "%s: branch on non-Boolean variable %s" (at rev_tags)
+            (Model.name_of m x)
         else if is_assigned value.(x) then
-          errf "%s: branches twice on variable %s" path (Model.name_of m x)
+          errf "%s: branches twice on variable %s" (at rev_tags)
+            (Model.name_of m x)
         else
           let* zero = field "zero" t in
           let* one = field "one" t in
           let child v sub tag =
             (* a branch value outside the variable's (narrowed) bounds
                covers no feasible point: the subtree is vacuously valid *)
-            if
-              v < Model.lower_bound m x -. 1e-9
-              || v > Model.upper_bound m x +. 1e-9
-            then Ok ()
+            if v < cm.lb.(x) -. 1e-9 || v > cm.ub.(x) +. 1e-9 then Ok ()
             else begin
               value.(x) <- v;
-              let r = walk (path ^ "." ^ tag) sub in
+              let res = walk (tag :: rev_tags) sub in
               value.(x) <- unassigned;
-              r
+              res
             end
           in
           let* () = child 0. zero "zero" in
           child 1. one "one"
-    | v -> errf "%s: malformed tree node %s" path (J.to_string v)
+    | v -> errf "%s: malformed tree node %s" (at rev_tags) (J.to_string v)
   in
   let* tree = field "tree" cert in
-  let* () = walk "tree" tree in
+  let* () = walk [] tree in
   Ok
     { objective = Option.map fst incumbent;
       vars = nvars;
-      rows = Array.length rows;
+      rows = nrows;
       tree_nodes = !count }
 
 (* ------------------------------------------------------------------ *)
@@ -529,10 +595,9 @@ let check_chain chain_json =
                   "certificate: iteration %d rows do not extend iteration %d"
                   i (i - 1)
               else begin
+                let nprev = List.length prows in
                 let added =
-                  List.filteri
-                    (fun k _ -> k >= List.length prows)
-                    rows
+                  List.filteri (fun k _ -> k >= nprev) rows
                   |> List.filter_map row_name
                 in
                 let missing =
@@ -551,7 +616,7 @@ let check_chain chain_json =
                        missing from iteration %d's model"
                       nm (i - 1) i
                 | [] ->
-                    if List.length rows <= List.length prows then
+                    if List.length rows <= nprev then
                       errf
                         "certificate: iteration %d adds no constraints over \
                          iteration %d"

@@ -79,6 +79,149 @@ let test_infeasibility_certificate () =
   | Ok s -> checkb "no objective" true (s.Cert.objective = None)
 
 (* ------------------------------------------------------------------ *)
+(* Differential: random 0-1 models against the brute-force oracle      *)
+
+(* A random pure 0-1 model: rows of mixed sense with integral or
+   two-decimal coefficients of both signs, some variables fixed.  Row
+   right-hand sides come from a hidden point plus a slack, which a third
+   of the models let go negative, so about a third come out infeasible.
+   Two-decimal data keeps every row either met to rounding error or
+   missed by at least 0.01, clear of both tolerances. *)
+type spec = {
+  nvars : int;
+  rows : ((int * float) list * Model.cmp * float) list;
+  obj : (int * float) list;
+  fixed : (int * float) list;
+}
+
+let gen_spec =
+  QCheck.Gen.(
+    let* nvars = int_range 6 12 in
+    let* point = array_repeat nvars bool in
+    let* tight = frequencyl [ (2, false); (1, true) ] in
+    let at x = if point.(x) then 1. else 0. in
+    let coef integral =
+      if integral then map float_of_int (int_range (-4) 4)
+      else map (fun k -> float_of_int k /. 100.) (int_range (-400) 400)
+    in
+    let row =
+      let* k = int_range 1 5 in
+      let* integral = bool in
+      let* terms =
+        list_repeat k (pair (int_range 0 (nvars - 1)) (coef integral))
+      in
+      let* cmp = oneofl [ Model.Ge; Model.Le; Model.Eq ] in
+      let* slack =
+        map
+          (fun s -> float_of_int s /. 2.)
+          (int_range (if tight then -2 else 0) 4)
+      in
+      let v =
+        Float.round
+          (List.fold_left (fun acc (x, a) -> acc +. (a *. at x)) 0. terms
+          *. 100.)
+        /. 100.
+      in
+      let rhs =
+        match cmp with
+        | Model.Ge -> v -. slack
+        | Model.Le -> v +. slack
+        | Model.Eq -> if slack < 0. then v +. slack else v
+      in
+      return (terms, cmp, rhs)
+    in
+    let* nrows = int_range 3 15 in
+    let* rows = list_repeat nrows row in
+    let* integral = bool in
+    let* obj = list_repeat nvars (coef integral) in
+    let* fixed =
+      list_repeat nvars (frequency [ (4, return false); (1, return true) ])
+    in
+    return
+      { nvars;
+        rows;
+        obj = List.mapi (fun x a -> (x, a)) obj;
+        fixed =
+          List.concat
+            (List.mapi (fun x f -> if f then [ (x, at x) ] else []) fixed) })
+
+let print_spec s =
+  let terms ts =
+    String.concat " + "
+      (List.map (fun (x, a) -> Printf.sprintf "%g x%d" a x) ts)
+  in
+  Printf.sprintf "%d vars, fixed [%s], min %s\n%s" s.nvars
+    (String.concat "; "
+       (List.map (fun (x, v) -> Printf.sprintf "x%d=%g" x v) s.fixed))
+    (terms s.obj)
+    (String.concat "\n"
+       (List.map
+          (fun (ts, cmp, rhs) ->
+            Printf.sprintf "  %s %s %g" (terms ts)
+              (match cmp with
+              | Model.Ge -> ">="
+              | Model.Le -> "<="
+              | Model.Eq -> "=")
+              rhs)
+          s.rows))
+
+let build_spec s =
+  let m = Model.create () in
+  ignore (Model.bool_vars m s.nvars);
+  List.iter (fun (x, v) -> Model.fix m x v) s.fixed;
+  List.iter
+    (fun (terms, cmp, rhs) ->
+      Model.add_constraint m (Lin_expr.of_terms terms) cmp rhs)
+    s.rows;
+  Model.set_objective m (Lin_expr.of_terms s.obj);
+  m
+
+let cert_nodes cert =
+  match Json.mem "nodes" cert with
+  | Some (Json.Num n) -> int_of_float n
+  | _ -> failwith "certificate has no node count"
+
+(* An Optimal model certifies with the brute-force optimum and refuses an
+   infeasibility claim; an Infeasible one certifies that claim.  Either
+   way the checker accepts the certificate and counts the tree the
+   generator reported, and a budget of one node stops any larger search. *)
+let prop_certify_matches_brute =
+  QCheck.Test.make ~name:"certify/check agree with brute force" ~count:300
+    (QCheck.make gen_spec ~print:print_spec)
+    (fun s ->
+      let m = build_spec s in
+      let incumbent, objective =
+        match Milp.Brute.solve m with
+        | Milp.Brute.Optimal { objective; solution } ->
+            (Some (objective, solution), Some objective)
+        | Milp.Brute.Infeasible -> (None, None)
+      in
+      (if objective <> None then
+         match Cert.certify m ~incumbent:None with
+         | Ok _ ->
+             QCheck.Test.fail_report "feasible model certified infeasible"
+         | Error e ->
+             if not (contains ~needle:"claimed infeasible" e) then
+               QCheck.Test.fail_reportf "unexpected error %s" e);
+      match Cert.certify m ~incumbent with
+      | Error e -> QCheck.Test.fail_reportf "certify failed: %s" e
+      | Ok cert -> (
+          let nodes = cert_nodes cert in
+          (match Cert.check cert with
+          | Error e -> QCheck.Test.fail_reportf "check failed: %s" e
+          | Ok sum ->
+              if sum.Cert.objective <> objective then
+                QCheck.Test.fail_report "checked objective differs";
+              if sum.Cert.tree_nodes <> nodes then
+                QCheck.Test.fail_reportf "check counted %d nodes, cert says %d"
+                  sum.Cert.tree_nodes nodes);
+          nodes = 1
+          ||
+          match Cert.certify ~node_budget:1 m ~incumbent with
+          | Ok _ -> QCheck.Test.fail_report "node budget 1 was not enforced"
+          | Error e -> contains ~needle:"node budget exceeded" e))
+
+(* ------------------------------------------------------------------ *)
 (* Tampered certificates                                               *)
 
 let set_field obj key v =
@@ -124,7 +267,31 @@ let test_tampered_certificates_rejected () =
     set_field cert "incumbent" (set_field incumbent "objective" (Json.Num 0.))
   in
   check_error ~what:"lowered claimed objective" ~needle:"objective"
-    (Cert.check lowered)
+    (Cert.check lowered);
+  (* errors name the node by its path from the root; over the tree
+     y ? bound : (x ? bound : infeasible cover), built by hand *)
+  let bound = Json.Obj [ ("leaf", Json.Str "bound") ] in
+  let infeasible row =
+    Json.Obj [ ("leaf", Json.Str "infeasible"); ("row", Json.Num row) ]
+  in
+  let tree zero_zero zero_one =
+    Json.Obj
+      [ ("var", Json.Num 1.);
+        ( "zero",
+          Json.Obj
+            [ ("var", Json.Num 0.); ("zero", zero_zero); ("one", zero_one) ]
+        );
+        ("one", bound) ]
+  in
+  (match Cert.check (set_field cert "tree" (tree (infeasible 0.) bound)) with
+  | Ok s -> check_int "hand-built tree nodes" 5 s.Cert.tree_nodes
+  | Error e -> Alcotest.failf "hand-built tree rejected: %s" e);
+  check_error ~what:"infeasible leaf over a satisfied row"
+    ~needle:"tree.zero.one: row 0 (cover) is still satisfiable"
+    (Cert.check (set_field cert "tree" (tree (infeasible 0.) (infeasible 0.))));
+  check_error ~what:"fractional row index"
+    ~needle:"tree.zero.zero.row must be an integer"
+    (Cert.check (set_field cert "tree" (tree (infeasible 0.5) bound)))
 
 (* ------------------------------------------------------------------ *)
 (* Chains                                                              *)
@@ -211,6 +378,58 @@ let test_mr_chain_end_to_end () =
               in
               checkb "explanation mentions cost attribution" true
                 (contains ~needle:"cost attribution" md)))
+
+(* Known answers: the certificate shapes of fixed instances.  A change to
+   the certifying search's branching or leaf rules moves these counts. *)
+let test_mr_known_answer () =
+  let inst = Eps.Eps_template.make ~generators:2 in
+  match
+    Archex.Ilp_mr.run ~certify:true inst.Eps.Eps_template.template
+      ~r_star:1e-4
+  with
+  | Archex.Synthesis.Unfeasible _ -> Alcotest.fail "g=2 unfeasible"
+  | Archex.Synthesis.Synthesized (arch, trace, _) -> (
+      let nodes =
+        List.map
+          (fun it ->
+            match it.Archex.Ilp_mr.cert with
+            | Some (Ok c) -> cert_nodes c
+            | Some (Error e) -> Alcotest.failf "certify failed: %s" e
+            | None -> Alcotest.fail "iteration without certificate")
+          trace
+      in
+      Alcotest.(check (list int)) "tree nodes per iteration"
+        [ 265; 315; 539; 345 ] nodes;
+      Alcotest.(check (float 1e-9)) "final cost" 18012.
+        arch.Archex.Synthesis.cost;
+      match
+        Result.bind
+          (Archex.Ilp_mr.certificate_of_trace ~r_star:1e-4 trace)
+          Cert.check_chain
+      with
+      | Error e -> Alcotest.failf "chain rejected: %s" e
+      | Ok s ->
+          check_int "iterations" 4 s.Cert.iterations;
+          check_int "total tree nodes" 1464 s.Cert.total_tree_nodes;
+          checkb "final objective" true (s.Cert.final_objective = Some 18012.))
+
+(* ILP-AR's monolithic model has real-coefficient rows. *)
+let test_ar_known_answer () =
+  let inst = Eps.Eps_template.make ~generators:2 in
+  match
+    Archex.Ilp_ar.run ~certify:true inst.Eps.Eps_template.template
+      ~r_star:3e-4
+  with
+  | Archex.Synthesis.Unfeasible _ -> Alcotest.fail "g=2 unfeasible"
+  | Archex.Synthesis.Synthesized (_, info, _) -> (
+      match info.Archex.Ilp_ar.cert with
+      | None -> Alcotest.fail "no certificate"
+      | Some (Error e) -> Alcotest.failf "certify failed: %s" e
+      | Some (Ok cert) -> (
+          check_int "tree nodes" 1713 (cert_nodes cert);
+          match Cert.check cert with
+          | Error e -> Alcotest.failf "certificate rejected: %s" e
+          | Ok s -> check_int "checked tree nodes" 1713 s.Cert.tree_nodes))
 
 (* ------------------------------------------------------------------ *)
 (* Explanation report                                                  *)
@@ -336,7 +555,8 @@ let () =
           Alcotest.test_case "wrong incumbents rejected" `Quick
             test_certify_rejects_wrong_incumbents;
           Alcotest.test_case "infeasibility certificate" `Quick
-            test_infeasibility_certificate ] );
+            test_infeasibility_certificate;
+          QCheck_alcotest.to_alcotest prop_certify_matches_brute ] );
       ( "checker",
         [ Alcotest.test_case "tampered certificates rejected" `Quick
             test_tampered_certificates_rejected;
@@ -344,7 +564,12 @@ let () =
             test_chain_roundtrip_and_tamper ] );
       ( "ilp-mr",
         [ Alcotest.test_case "certified run end to end" `Quick
-            test_mr_chain_end_to_end ] );
+            test_mr_chain_end_to_end;
+          Alcotest.test_case "known answer g=2" `Quick test_mr_known_answer ]
+      );
+      ( "ilp-ar",
+        [ Alcotest.test_case "known answer g=2" `Quick test_ar_known_answer ]
+      );
       ( "explain",
         [ Alcotest.test_case "markdown content" `Quick
             test_explain_markdown ] );
