@@ -464,9 +464,9 @@ let bench_mr_incremental () =
     [ ("mr_base_r2e-6", fun () -> case ~r_star:2e-6 ());
       ("mr_g4_r2e-6", fun () -> case ~generators:4 ~r_star:2e-6 ());
       ("mr_g5_r2e-6", fun () -> case ~generators:5 ~r_star:2e-6 ());
-      (* the tight target: per-iteration optimality proofs dominate the
-         run, so avoiding the scratch solver's repeated bound probes
-         pays off most here *)
+      (* the tight target (Fig. 2): per-iteration optimality proofs
+         dominate the run, and the session needs more conflicts than
+         scratch solving here *)
       ("mr_base_r2e-10", fun () -> case ~r_star:2e-10 ()) ]
 
 (* Serial vs parallel sweep: times the three parallel surfaces (sharded

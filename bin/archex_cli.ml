@@ -58,8 +58,8 @@ let incremental_arg =
     "Keep one persistent solver session across the MR iterations: each \
      solve resumes the previous one's learned clauses, activities and \
      saved phases, seeded with the strongest bound proved so far.  Same \
-     architectures and costs as scratch solving, usually much faster on \
-     later iterations."
+     costs as scratch solving at about the same speed; on Fig. 2 it needs \
+     more conflicts than scratch solving."
   in
   Arg.(value & flag & info [ "incremental" ] ~doc)
 

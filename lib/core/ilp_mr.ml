@@ -367,9 +367,10 @@ let run_with_encoding ?(obs = Archex_obs.Ctx.null) ?on_event ?strategy
               solver_total := !solver_total +. stats.Milp.Solver.elapsed;
               (* the bound proved for this (weaker) model stays valid for
                  every later one — seed the next solve with it.  Session
-                 mode only: the session installs it as a permanent
-                 objective floor, whereas a scratch solve would spend its
-                 probe refuting a bound the learned rows just outgrew. *)
+                 mode only, where the session installs it as a permanent
+                 objective floor row; a scratch solve sees the model and
+                 its own Obj_bound bound alone, so its search stays the
+                 one-shot search of that model. *)
               (if session <> None then
                  match stats.Milp.Solver.best_bound with
                  | Some b ->
@@ -445,7 +446,7 @@ let run_with_encoding ?(obs = Archex_obs.Ctx.null) ?on_event ?strategy
                 let bps = !breakpoints in
                 let activity = ref [] in
                 (* indices ≥ rows_total belong to solver-side extras (the
-                   PB probe's bound row): not rows of this model, skipped *)
+                   Obj_bound row): not rows of this model, skipped *)
                 for id = min rows_total (Milp.Row_stats.rows rs) - 1
                     downto 0 do
                   if Milp.Row_stats.activity rs id > 0 then begin

@@ -109,10 +109,13 @@ let solve_untraced ~obs ~on_event ~backend ~presolve ?rows ?max_nodes
         | Some b -> Float.max b lower_bound
         | None -> lower_bound
       in
-      let pb_session =
+      (* the PB search runs on the caller's session, which captured [m]
+         itself ([m'] above only contributed the strengthened bound), or
+         on a fresh one over the given copy of [m'] *)
+      let pb_session ?rows model =
         match session with
-        | Some { spb = Some ps; _ } -> Some ps
-        | Some { spb = None; _ } | None -> None
+        | Some { spb = Some ps; _ } -> ps
+        | Some { spb = None; _ } | None -> Pb_solver.Session.create ?rows model
       in
       let map_pb o =
         match o with
@@ -121,102 +124,25 @@ let solve_untraced ~obs ~on_event ~backend ~presolve ?rows ?max_nodes
         | Pb_solver.Infeasible -> Infeasible
         | Pb_solver.Limit_reached { incumbent } -> Limit_reached { incumbent }
       in
+      let of_pb (s : Pb_solver.stats) =
+        { empty_stats with
+          nodes = s.decisions;
+          propagations = s.propagations;
+          conflicts = s.conflicts;
+          best_bound = s.bound }
+      in
       let rec run_backend backend =
       match backend with
-      | Pseudo_boolean when pb_session <> None ->
-          (* Incremental path: solve through the persistent session (which
-             captured [m] itself; [m'] above only contributed the
-             strengthened bound).  No optimistic probe here — the session's
-             warm-started phases make the main search's first descent
-             reconstruct the bound witness when one still exists, and the
-             lower-bound optimality shortcut then closes the solve just as
-             fast; a probe could only duplicate that or burn half the
-             budget refuting a stale cap. *)
-          let ps = Option.get pb_session in
-          let o, s =
-            phase "main";
-            let o, s =
-              Pb_solver.Session.solve ~metrics ?on_event ?log ?rows
-                ?max_decisions:max_nodes ?time_limit ~lower_bound
-                ?should_stop ps
-            in
-            (map_pb o, s)
-          in
-          ( o,
-            { empty_stats with
-              nodes = s.Pb_solver.decisions;
-              propagations = s.Pb_solver.propagations;
-              conflicts = s.Pb_solver.conflicts;
-              best_bound = s.Pb_solver.bound },
-            false )
       | Pseudo_boolean ->
-          (* Optimistic probe: when the combinatorial bound exists, first try
-             pure feasibility at cost ≤ bound — success is a proven optimum
-             and sidesteps the incumbent-improvement search entirely. *)
-          let probe_spent = ref 0. in
-          let probe =
-            if Float.is_finite lower_bound then begin
-              let probe_model = Model.copy m' in
-              let scale = 1e-6 *. Float.max 1. (Float.abs lower_bound) in
-              Model.add_constraint ~name:"lb_probe" probe_model
-                (Model.objective probe_model)
-                Le (lower_bound +. scale);
-              Model.set_objective probe_model Lin_expr.zero;
-              let probe_limit = Option.map (fun t -> t /. 2.) time_limit in
-              probe_spent := now ();
-              phase "probe";
-              match
-                Pb_solver.solve ~metrics ?on_event ?log ?rows
-                  ?max_decisions:max_nodes ?time_limit:probe_limit
-                  ?should_stop probe_model
-              with
-              | Pb_solver.Optimal { solution; _ }, s ->
-                  let objective =
-                    Model.objective_value m' (fun x -> solution.(x))
-                  in
-                  Some (Optimal { objective; solution }, s)
-              | (Pb_solver.Infeasible | Pb_solver.Limit_reached _), _ ->
-                  None
-            end
-            else None
-          in
+          (* one search with the whole budget; when the optimum equals
+             [lower_bound] it stops at the first incumbent that meets it *)
+          phase "main";
           let o, s =
-            match probe with
-            | Some (outcome, s) -> (outcome, s)
-            | None ->
-                (* main search keeps whatever budget the probe left *)
-                let remaining =
-                  Option.map
-                    (fun t ->
-                      if !probe_spent > 0. then
-                        Float.max (t /. 4.)
-                          (t -. (now () -. !probe_spent))
-                      else t)
-                    time_limit
-                in
-                phase "main";
-                let o, s =
-                  Pb_solver.solve ~metrics ?on_event ?log ?rows
-                    ?max_decisions:max_nodes ?time_limit:remaining
-                    ~lower_bound ?should_stop m'
-                in
-                let outcome =
-                  match o with
-                  | Pb_solver.Optimal { objective; solution } ->
-                      Optimal { objective; solution }
-                  | Pb_solver.Infeasible -> Infeasible
-                  | Pb_solver.Limit_reached { incumbent } ->
-                      Limit_reached { incumbent }
-                in
-                (outcome, s)
+            Pb_solver.Session.solve ~metrics ?on_event ?log ?rows
+              ?max_decisions:max_nodes ?time_limit ~lower_bound ?should_stop
+              (pb_session ?rows m')
           in
-          ( o,
-            { empty_stats with
-              nodes = s.Pb_solver.decisions;
-              propagations = s.Pb_solver.propagations;
-              conflicts = s.Pb_solver.conflicts;
-              best_bound = s.Pb_solver.bound },
-            false )
+          (map_pb o, of_pb s, false)
       | Lp_branch_bound ->
           let o, s =
             Lp_bb.solve ~metrics ?on_event ?log ?rows ?max_nodes ?time_limit
@@ -256,13 +182,7 @@ let solve_untraced ~obs ~on_event ~backend ~presolve ?rows ?max_nodes
                 ?max_decisions:max_nodes ?time_limit ~lower_bound
                 ?should_stop m'
             in
-            ( map_pb o,
-              { empty_stats with
-                nodes = s.Pb_solver.decisions;
-                propagations = s.Pb_solver.propagations;
-                conflicts = s.Pb_solver.conflicts;
-                best_bound = s.Pb_solver.bound },
-              false )
+            (map_pb o, of_pb s, false)
           end
       | Portfolio ->
           (* Race the three exact backends on separate domains over a
@@ -326,15 +246,10 @@ let solve_untraced ~obs ~on_event ~backend ~presolve ?rows ?max_nodes
             in
             let run_pb () =
               let o, s =
-                match pb_session with
-                | Some ps ->
-                    Pb_solver.Session.solve ~metrics ?on_event ?log
-                      ?rows:pb_rows ?max_decisions:max_nodes ?time_limit
-                      ~lower_bound ~should_stop ~shared ps
-                | None ->
-                    Pb_solver.solve ~metrics ?on_event ?log ?rows:pb_rows
-                      ?max_decisions:max_nodes ?time_limit ~lower_bound
-                      ~should_stop ~shared pb_model
+                Pb_solver.Session.solve ~metrics ?on_event ?log ?rows:pb_rows
+                  ?max_decisions:max_nodes ?time_limit ~lower_bound
+                  ~should_stop ~shared
+                  (pb_session ?rows:pb_rows pb_model)
               in
               let o = map_pb o in
               if definitive o then P.Cancel.cancel stop

@@ -95,10 +95,10 @@ val solve :
     every feasible objective value of [m] — e.g. the [best_bound] proved
     for a previous, weaker model in the MR loop (appending rows can only
     raise the optimum).  It is maxed with the {!Obj_bound} bound and lets
-    the backends close optimality proofs much earlier — a scratch PB
-    solve additionally probes at the bound before searching, while a
-    session solve instead installs the bound as a permanent objective
-    floor and lets its warm-started descent reach it directly.
+    the backends close optimality proofs much earlier: the PB search stops
+    at the first incumbent that meets it, and a session's later solves
+    also install a strictly stronger bound as a permanent objective floor
+    row.
 
     [budget] (default none) clamps [time_limit] and [max_nodes] under the
     global allowance: the call never runs past
@@ -131,13 +131,12 @@ val solve :
     metrics — [pb.*], [bb.nodes], [lp.pivots], [presolve.*] — plus a
     [solve.calls] counter and a [solve.seconds] histogram.  [on_event]
     forwards the backend's progress callback (heartbeats and incumbent
-    updates); note the PB probe and main search both report through it.
+    updates).
 
-    The front-end computes the {!Obj_bound} combinatorial lower bound,
-    injects it as an implied row, and — for the PB backend — first probes
-    pure feasibility at cost ≤ bound (half the time budget): a probe hit is
-    returned as a proven optimum (up to a 1e-6 relative tolerance on
-    non-integral objectives, the ε of the paper's Theorem 1). *)
+    The front-end computes the {!Obj_bound} combinatorial lower bound and
+    injects it as an implied row.  The PB backend then runs one search,
+    on the caller's session or a fresh one, with the whole [time_limit];
+    its [stats] count all the PB work the call did. *)
 
 val solution_value : float array -> Model.var -> bool
 (** Convenience: read a 0-1 solution entry as a Boolean (≥ 0.5). *)

@@ -250,6 +250,33 @@ let test_ilp_mr_first_iteration_is_minimal () =
       checkf 1e-9 "minimal cost" 29. arch.Archex.Synthesis.cost
   | Archex.Synthesis.Unfeasible _ -> Alcotest.fail "trivially feasible"
 
+(* No hidden search: the [pb.*] metrics count every PB search a run
+   makes, and each iteration's [stats] count the search whose optimum it
+   used.  They must agree, so no solve may run a second search and
+   discard it. *)
+let test_ilp_mr_no_hidden_search () =
+  let t = (Eps.Eps_template.base ()).Eps.Eps_template.template in
+  let metrics = Archex_obs.Metrics.create () in
+  let metric name =
+    int_of_float
+      (Option.value (Archex_obs.Metrics.value metrics name) ~default:0.)
+  in
+  match
+    Archex.Ilp_mr.run ~obs:(Archex_obs.Ctx.make ~metrics ()) t ~r_star:2e-6
+  with
+  | Archex.Synthesis.Synthesized (_, trace, _) ->
+      let sum f =
+        List.fold_left (fun acc it -> acc + f it.Archex.Ilp_mr.stats) 0 trace
+      in
+      let conflicts = sum (fun s -> s.Solver.conflicts) in
+      checkb "searched" true (conflicts > 0);
+      check_int "pb.conflicts = summed iteration conflicts" conflicts
+        (metric "pb.conflicts");
+      check_int "pb.decisions = summed iteration nodes"
+        (sum (fun s -> s.Solver.nodes))
+        (metric "pb.decisions")
+  | Archex.Synthesis.Unfeasible _ -> Alcotest.fail "base EPS meets 2e-6"
+
 let test_ilp_mr_unfeasible_when_template_too_small () =
   let t = small_template () in
   (* even the best architecture (2 sources × 3 middles fully wired) has
@@ -372,7 +399,8 @@ let () =
           quick "unfeasible requirement detected"
             test_ilp_mr_unfeasible_when_template_too_small;
           quick "lazy strategy needs more iterations"
-            test_ilp_mr_lazy_strategy_more_iterations ] );
+            test_ilp_mr_lazy_strategy_more_iterations;
+          quick "no hidden search" test_ilp_mr_no_hidden_search ] );
       ( "ilp_ar",
         [ quick "loose requirement stays minimal"
             test_ilp_ar_minimal_when_loose;

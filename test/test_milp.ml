@@ -532,6 +532,50 @@ let test_pigeonhole_slack_optimum () =
         (stats.Milp.Pb_solver.learned > 2000)
   | _ -> Alcotest.fail "PHP(8,7) with slack has optimum 1"
 
+(* No hidden search: six pigeons, five holes of cost 1 holding one pigeon
+   each, and a private fallback of cost 2 per pigeon.  [Obj_bound] packs
+   the six disjoint pigeon rows into a bound of 6, strictly below the
+   optimum 7, and refuting cost 6 is PHP(6,5), so the solve has to
+   search.  The [pb.*] metrics count every PB search the solve runs; they
+   must equal the counts it reports for the search whose answer it
+   returns. *)
+let test_no_hidden_search () =
+  let pigeons = 6 and holes = 5 in
+  let m = Model.create () in
+  let p = Array.init pigeons (fun _ -> Model.bool_vars m holes) in
+  let fallback = Model.bool_vars m pigeons in
+  let terms c xs = List.map (fun x -> (x, c)) xs in
+  Array.iteri
+    (fun i row ->
+      Model.add_constraint m
+        (Lin_expr.of_terms (terms 1. (fallback.(i) :: Array.to_list row)))
+        Model.Ge 1.)
+    p;
+  for h = 0 to holes - 1 do
+    Model.add_constraint m
+      (Lin_expr.of_terms (terms 1. (List.init pigeons (fun i -> p.(i).(h)))))
+      Model.Le 1.
+  done;
+  Model.set_objective m
+    (Lin_expr.of_terms
+       (terms 1. (List.concat_map Array.to_list (Array.to_list p))
+       @ terms 2. (Array.to_list fallback)));
+  checkf "bound below the optimum" 6. (Milp.Obj_bound.lower_bound m);
+  let metrics = Archex_obs.Metrics.create () in
+  let metric name =
+    int_of_float
+      (Option.value (Archex_obs.Metrics.value metrics name) ~default:0.)
+  in
+  match Solver.solve ~obs:(Archex_obs.Ctx.make ~metrics ()) m with
+  | Solver.Optimal { objective; _ }, stats ->
+      checkf "optimum" 7. objective;
+      checkb "searched" true (stats.Solver.conflicts > 0);
+      check_int "pb.conflicts = stats.conflicts" stats.Solver.conflicts
+        (metric "pb.conflicts");
+      check_int "pb.decisions = stats.nodes" stats.Solver.nodes
+        (metric "pb.decisions")
+  | _ -> Alcotest.fail "expected optimum 7"
+
 let test_time_limit_returns () =
   (* a deliberately large model: the solver must respect the limit *)
   let m = Model.create () in
@@ -694,7 +738,8 @@ let () =
           quick "pigeonhole PHP(8,7) refuted" test_pigeonhole_refuted;
           quick "pigeonhole with slack: optimum 1"
             test_pigeonhole_slack_optimum;
-          quick "node limit returns" test_time_limit_returns ] );
+          quick "node limit returns" test_time_limit_returns;
+          quick "no hidden search" test_no_hidden_search ] );
       ( "obj_bound",
         [ prop prop_obj_bound_is_valid;
           quick "packs disjoint rows" test_obj_bound_packs_disjoint_rows;
