@@ -71,32 +71,3 @@ let push t v =
     t.size <- t.size + 1;
     sift_up t t.pos.(v)
   end
-
-(* Floyd heapify: restore the invariant over the queued prefix in O(n).
-   [create]'s identity layout is only a heap because every activity is
-   zero; a warm restore (persisted activities from a previous solve) needs
-   a real rebuild — seeding via repeated [push] would sift each variable
-   up through an array that is not yet a heap. *)
-let rebuild t =
-  for i = (t.size / 2) - 1 downto 0 do
-    sift_down t i
-  done
-
-let of_activities ?mem acts =
-  let n = Array.length acts in
-  let t =
-    { act = Array.copy acts;
-      heap = Array.make (max n 1) 0;
-      pos = Array.make (max n 1) (-1);
-      size = 0 }
-  in
-  let wanted = match mem with None -> fun _ -> true | Some f -> f in
-  for v = 0 to n - 1 do
-    if wanted v then begin
-      t.heap.(t.size) <- v;
-      t.pos.(v) <- t.size;
-      t.size <- t.size + 1
-    end
-  done;
-  rebuild t;
-  t

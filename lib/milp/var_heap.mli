@@ -25,16 +25,3 @@ val push : t -> int -> unit
 (** Re-insert a variable (no-op if already queued). *)
 
 val mem : t -> int -> bool
-
-val rebuild : t -> unit
-(** Restore the heap invariant over all queued variables in O(n) (Floyd
-    heapify).  Needed after bulk external changes; [bump]/[push]/[pop_max]
-    maintain the invariant incrementally and never require it. *)
-
-val of_activities : ?mem:(int -> bool) -> float array -> t
-(** [of_activities acts] builds a heap over variables [0 .. n-1] with the
-    given (copied) activities — the warm-restore path of a persistent
-    solver session, where activities from a previous solve must re-seed a
-    fresh, larger heap without violating the invariant ([create] assumes
-    index order, [push] assumes the rest is already a heap).  [mem]
-    (default: all) selects which variables are initially queued. *)

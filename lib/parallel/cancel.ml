@@ -1,26 +1,14 @@
 type t = {
   flag : bool Atomic.t;
-  at : float option Atomic.t;  (* when the first cancel landed *)
   parent : t option;
 }
 
-let create ?parent () =
-  { flag = Atomic.make false; at = Atomic.make None; parent }
+let create ?parent () = { flag = Atomic.make false; parent }
 
-let cancel t =
-  (* stamp before raising the flag so an observer that sees the flag also
-     sees the time; only the first cancel wins the stamp *)
-  ignore (Atomic.compare_and_set t.at None (Some (Archex_obs.Clock.now ())));
-  Atomic.set t.flag true
+let cancel t = Atomic.set t.flag true
 
 let rec is_cancelled t =
   Atomic.get t.flag
   || (match t.parent with Some p -> is_cancelled p | None -> false)
-
-let rec cancelled_at t =
-  match Atomic.get t.at with
-  | Some _ as stamp -> stamp
-  | None -> (
-      match t.parent with Some p -> cancelled_at p | None -> None)
 
 let guard t () = is_cancelled t

@@ -7,8 +7,8 @@
     invariants (incumbents, proven bounds) survive cancellation.
 
     Tokens form an optional tree: cancelling a parent cancels every
-    descendant, so an outer deadline can sweep a whole portfolio while
-    each racer still holds a private token for "a sibling won". *)
+    descendant, so one outer cancel can sweep a whole group of workers
+    while each still holds a private token of its own. *)
 
 type t
 
@@ -21,14 +21,6 @@ val cancel : t -> unit
 
 val is_cancelled : t -> bool
 (** Poll the flag (and the parent chain).  Lock-free. *)
-
-val cancelled_at : t -> float option
-(** Monotonic time ({!Archex_obs.Clock.now}) of the first {!cancel} on
-    this token — or, when the token itself was never cancelled, on the
-    nearest cancelled ancestor.  [None] while uncancelled.  The
-    difference between "now" at the point a worker actually wound down
-    and this stamp is the cancellation latency the scheduler telemetry
-    reports. *)
 
 val guard : t -> unit -> bool
 (** [guard t] is [fun () -> is_cancelled t] — the shape solver backends

@@ -6,7 +6,7 @@
     domain spawned and no synchronization beyond an uncontended mutex.
 
     Tasks must confine shared mutation to thread-safe cells
-    ({!Stdlib.Atomic}, {!Shared_best}, the Atomic-backed
+    ({!Stdlib.Atomic}, the Atomic-backed
     [Archex_obs.Metrics]); everything else they touch should be
     task-local.  Pools are cheap enough to create per operation
     (one [Domain.spawn] per extra worker).
