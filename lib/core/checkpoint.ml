@@ -17,7 +17,6 @@ type iteration = {
 type t = {
   r_star : float;
   strategy : string option;
-  backend : string option;
   iterations : iteration list;
 }
 
@@ -52,9 +51,6 @@ let to_json ck =
        ("r_star", J.Num ck.r_star) ]
     @ (match ck.strategy with
       | Some s -> [ ("strategy", J.Str s) ]
-      | None -> [])
-    @ (match ck.backend with
-      | Some b -> [ ("backend", J.Str b) ]
       | None -> [])
     @ [ ("iterations", J.Arr (List.map iteration_to_json ck.iterations)) ])
 
@@ -149,10 +145,11 @@ let of_json json =
   in
   let* r_star = num "r_star" json in
   let* strategy = str_opt "strategy" json in
-  let* backend = str_opt "backend" json in
+  (* files written before the solver had one search also carry a
+     "backend" name; it selected nothing that still exists *)
   let* its = arr "iterations" json in
   let* iterations = map_result iteration_of_json its in
-  Ok { r_star; strategy; backend; iterations }
+  Ok { r_star; strategy; iterations }
 
 let of_string s = Result.bind (J.of_string s) of_json
 

@@ -15,7 +15,8 @@
     The on-disk form is a single JSON object tagged
     [{"format": "archex-mr-ckpt", "version": 1}].  {!save} writes
     atomically (temp file + rename): a kill mid-write leaves the previous
-    checkpoint intact. *)
+    checkpoint intact.  {!of_json} ignores the ["backend"] name that
+    files from before the single-search solver carry. *)
 
 type iteration = {
   index : int;                     (** 1-based, as in {!Ilp_mr.iteration} *)
@@ -33,7 +34,6 @@ type iteration = {
 type t = {
   r_star : float;                  (** the run's reliability target *)
   strategy : string option;        (** ["estimated"] / ["lazy-one-path"] *)
-  backend : string option;         (** ["pb"] / ["lp-bb"] / ["brute"] *)
   iterations : iteration list;     (** chronological *)
 }
 

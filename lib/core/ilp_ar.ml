@@ -222,7 +222,7 @@ let approx_on_config template config =
     (0., infinity)
     (Template.sinks template)
 
-let run ?(obs = Archex_obs.Ctx.null) ?on_event ?backend ?engine
+let run ?(obs = Archex_obs.Ctx.null) ?on_event ?engine
     ?(time_limit = 300.) ?(certify = false) ?cert_node_budget
     ?(budget = Archex_resilience.Budget.unlimited) ?(jobs = 1) template
     ~r_star =
@@ -241,7 +241,7 @@ let run ?(obs = Archex_obs.Ctx.null) ?on_event ?backend ?engine
       (float_of_int info.constraint_count)
   end;
   match
-    Gen_ilp.solve_checked ~obs ?on_event ?backend
+    Gen_ilp.solve_checked ~obs ?on_event
       ?time_limit:
         (Some
            (Option.value

@@ -26,7 +26,6 @@ type info = {
 val run :
   ?obs:Archex_obs.Ctx.t ->
   ?on_event:(Archex_obs.Event.t -> unit) ->
-  ?backend:Milp.Solver.backend ->
   ?engine:Reliability.Exact.engine ->
   ?time_limit:float ->
   ?certify:bool ->
@@ -55,7 +54,7 @@ val run :
     [obs] (default disabled) wraps the run in an ["ilp_ar"] span enclosing
     the ["compile"], ["solve"] and ["reliability"] spans, and tracks the
     compiled model size in the [ar.variables] / [ar.constraints] gauges.
-    [on_event] forwards the solver backend's progress callback.
+    [on_event] forwards the PB search's progress callback.
 
     [certify] (default false) re-proves the monolithic optimum with
     {!Archex_cert.certify} (inside a ["certify"] span when tracing) and

@@ -1,8 +1,8 @@
 (** Exhaustive 0-1 oracle.
 
     Enumerates every Boolean assignment — exponential, intended only as the
-    reference implementation that the real backends are validated against in
-    the test suite. *)
+    reference implementation that the PB search ({!Pb_solver}) is validated
+    against in the test suite. *)
 
 type outcome =
   | Optimal of { objective : float; solution : float array }

@@ -26,10 +26,10 @@
     feasibility check of the incumbent it proves optimality (or, with no
     incumbent, infeasibility).  {!check} replays the tree using only
     {!Milp.Model} / {!Milp.Lin_expr} arithmetic — no solver code — so the
-    proof does not depend on the correctness of {!Milp.Pb_solver} or
-    {!Milp.Lp_bb}.  The improvement gap is recomputed from the model (a
-    full unit minus tolerance when every objective coefficient is
-    integral, a relative tolerance otherwise), never read from the
+    proof does not depend on the correctness of {!Milp.Pb_solver}.  The
+    improvement gap is recomputed from the model (a full unit minus
+    tolerance when every objective coefficient is integral, a relative
+    tolerance otherwise), never read from the
     certificate. *)
 
 val default_node_budget : int

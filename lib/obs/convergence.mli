@@ -18,7 +18,7 @@ type point = {
 
 type segment = {
   index : int;      (** 1-based solve number within the run *)
-  source : string;  (** emitting stage, e.g. ["pb"] or ["lp-bb"] *)
+  source : string;  (** emitting stage, e.g. ["pb"] or ["ilp-mr"] *)
   points : point list;
 }
 

@@ -17,10 +17,9 @@ val make :
   ?trace:Trace.t -> ?metrics:Metrics.t ->
   ?search_log:(Json.t -> unit) -> unit -> t
 (** [search_log] (default none) receives one JSON object per solver search
-    step — branch decisions, conflicts, LP nodes, incumbents, bound
-    improvements — from the exact backends ({!Milp.Pb_solver},
-    {!Milp.Lp_bb}); writing each object on its own line yields an NDJSON
-    search log (the [--search-log] CLI flag). *)
+    step — branch decisions, conflicts, incumbents, bound improvements —
+    from the PB search ({!Milp.Pb_solver}); writing each object on its own
+    line yields an NDJSON search log (the [--search-log] CLI flag). *)
 
 val enabled : t -> bool
 val trace : t -> Trace.t

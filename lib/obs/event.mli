@@ -13,11 +13,11 @@ type kind =
   | Iteration  (** an outer-loop iteration (ILP-MR / ILP-AR) completed *)
   | Fallback
       (** a degradation step was taken: the exact reliability oracle fell
-          back to bounds or sampling, or a solver backend was swapped
-          after a stall — data names the stage and the rung *)
+          back to bounds or sampling — data names the stage and the
+          rung *)
 
 type t = {
-  source : string;  (** emitting stage: ["pb"], ["lp-bb"], ["ilp-mr"], … *)
+  source : string;  (** emitting stage: ["pb"], ["ilp-mr"], … *)
   kind : kind;
   elapsed : float;  (** wall-clock seconds since the stage started *)
   data : (string * float) list;

@@ -14,7 +14,6 @@ type row = {
   props : int;
   conflicts : int;
   binding : int;
-  prunes : int;
 }
 
 type iteration_summary = {
@@ -45,7 +44,7 @@ let str_or d key j =
 let arr_of key j =
   match J.mem key j with Some (J.Arr l) -> l | _ -> []
 
-let activity r = r.props + r.conflicts + r.binding + r.prunes
+let activity r = r.props + r.conflicts + r.binding
 
 let row_of_json j =
   match int_of "row" j with
@@ -60,7 +59,6 @@ let row_of_json j =
           props = int_or 0 "props" j;
           conflicts = int_or 0 "conflicts" j;
           binding = int_or 0 "binding" j;
-          prunes = int_or 0 "prunes" j;
         }
 
 let build ~insights =
@@ -88,7 +86,6 @@ let build ~insights =
                         props = p.props + r.props;
                         conflicts = p.conflicts + r.conflicts;
                         binding = p.binding + r.binding;
-                        prunes = p.prunes + r.prunes;
                       }
                 in
                 Hashtbl.replace agg r.id merged)
@@ -141,7 +138,6 @@ let build ~insights =
               props = 0;
               conflicts = 0;
               binding = 0;
-              prunes = 0;
             }
             :: acc)
       learned []
@@ -170,11 +166,8 @@ let top_pruners ?(k = 10) t =
   let ranked =
     List.sort
       (fun a b ->
-        match compare b.prunes a.prunes with
-        | 0 -> (
-            match compare b.conflicts a.conflicts with
-            | 0 -> compare b.props a.props
-            | c -> c)
+        match compare b.conflicts a.conflicts with
+        | 0 -> compare b.props a.props
         | c -> c)
       t.rows
   in
@@ -190,7 +183,6 @@ let row_json r =
       ("props", J.Num (float_of_int r.props));
       ("conflicts", J.Num (float_of_int r.conflicts));
       ("binding", J.Num (float_of_int r.binding));
-      ("prunes", J.Num (float_of_int r.prunes));
     ]
 
 let opt_num = function None -> J.Null | Some v -> J.Num v
@@ -259,12 +251,12 @@ let to_markdown ?(top_k = 10) t =
   (match top_pruners ~k:top_k t with
   | [] -> line "(no row activity recorded)"
   | top ->
-      line "| row | name | kind | born | prunes | conflicts | props | binding |";
-      line "|----:|------|------|-----:|-------:|----------:|------:|--------:|";
+      line "| row | name | kind | born | conflicts | props | binding |";
+      line "|----:|------|------|-----:|----------:|------:|--------:|";
       List.iter
         (fun r ->
-          line "| %d | %s | %s | %d | %d | %d | %d | %d |" r.id r.name
-            r.kind r.born r.prunes r.conflicts r.props r.binding)
+          line "| %d | %s | %s | %d | %d | %d | %d |" r.id r.name r.kind
+            r.born r.conflicts r.props r.binding)
         top);
   line "";
   line "## Learned-cut effectiveness";

@@ -5,8 +5,7 @@
     library needs no dependency on the synthesis stack) and distills them
     into the [archex inspect] report: which constraints actually prune,
     which learned rows are dead weight, how effective each iteration's
-    oracle cuts are, and how redundant successive re-solves are — the
-    evidence base for an incremental, conflict-driven PB solver. *)
+    oracle cuts are, and how redundant successive re-solves are. *)
 
 type row = {
   id : int;            (** stable row id: insertion index in the model *)
@@ -15,8 +14,7 @@ type row = {
   born : int;          (** birth iteration; 0 = base encoding *)
   props : int;
   conflicts : int;
-  binding : int;
-  prunes : int;        (** counters summed across all iterations *)
+  binding : int;       (** counters summed across all iterations *)
 }
 
 type iteration_summary = {
@@ -48,8 +46,8 @@ val build : insights:Archex_obs.Json.t list -> t
     omitted from the list. *)
 
 val top_pruners : ?k:int -> t -> row list
-(** The [k] (default 10) most effective rows, ranked by prunes, then
-    conflicts, then propagations. *)
+(** The [k] (default 10) most effective rows, ranked by conflicts, then
+    propagations. *)
 
 val to_json : t -> Archex_obs.Json.t
 (** Machine-readable report: [{"iterations": [...], "rows": [...],

@@ -102,4 +102,4 @@ val validate : (int * Json.t) list -> (int * string) list
 
 val pp_tree : Format.formatter -> tree list -> unit
 (** Indented rendering, one node per line:
-    [solve (0.123s) backend=pb vars=94]. *)
+    [solve (0.123s) vars=94 constraints=120]. *)

@@ -93,9 +93,8 @@ let run ?obs ?on_event ~budget (job : Protocol.job) =
       match job.Protocol.op with
       | Protocol.Mr -> (
           match
-            Archex.Ilp_mr.run_checked ?obs ?on_event
-              ~backend:job.Protocol.backend ~budget ~jobs:job.Protocol.jobs
-              template ~r_star:job.Protocol.r_star
+            Archex.Ilp_mr.run_checked ?obs ?on_event ~budget
+              ~jobs:job.Protocol.jobs template ~r_star:job.Protocol.r_star
           with
           | Error e -> failed e
           | Ok (Archex.Synthesis.Synthesized (arch, trace, _)) ->
@@ -106,9 +105,8 @@ let run ?obs ?on_event ~budget (job : Protocol.job) =
               of_unfeasible reason (Some (List.length trace)))
       | Protocol.Ar -> (
           match
-            Archex.Ilp_ar.run ?obs ?on_event ~backend:job.Protocol.backend
-              ~budget ~jobs:job.Protocol.jobs template
-              ~r_star:job.Protocol.r_star
+            Archex.Ilp_ar.run ?obs ?on_event ~budget ~jobs:job.Protocol.jobs
+              template ~r_star:job.Protocol.r_star
           with
           | Archex.Synthesis.Synthesized (arch, _, _) ->
               of_architecture ?obs ~budget ~iterations:None template arch

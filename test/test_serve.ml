@@ -36,8 +36,7 @@ let fresh_dir =
 
 let job ?(id = "j1") ?(op = Protocol.Mr) ?(r_star = 1e-3) ?generators
     ?deadline_s ?bdd_limit () =
-  { Protocol.id; op; r_star; generators;
-    backend = Milp.Solver.Pseudo_boolean; deadline_s; max_nodes = None;
+  { Protocol.id; op; r_star; generators; deadline_s; max_nodes = None;
     bdd_limit; jobs = 1 }
 
 (* ------------------------------------------------------------------ *)
@@ -144,6 +143,21 @@ let test_protocol_roundtrip () =
   | Ok j' ->
       checkb "job survives a json round-trip (journal storage)" true
         (j = j')
+
+(* Journals written while jobs could pick a solver backend store a
+   "backend" field, "lp-bb" included; recovery must still read them. *)
+let test_protocol_legacy_backend () =
+  let legacy =
+    {|{"id":"old","op":"mr","r_star":0.001,"backend":"lp-bb","jobs":1}|}
+  in
+  match Archex_obs.Json.of_string legacy with
+  | Error msg -> Alcotest.fail msg
+  | Ok j -> (
+      match Protocol.job_of_json j with
+      | Error msg -> Alcotest.failf "legacy job rejected: %s" msg
+      | Ok j' ->
+          checkb "legacy job reads as the same job" true
+            (j' = job ~id:"old" ~r_star:0.001 ()))
 
 let test_protocol_parse_errors () =
   let parse line = Protocol.parse_request ~assign_id:(fun () -> "x") line in
@@ -448,9 +462,8 @@ let test_serve_matches_direct_run () =
   let inst = Eps.Eps_template.base () in
   let direct =
     match
-      Archex.Ilp_mr.run_checked ~backend:Milp.Solver.Pseudo_boolean
-        ~budget:Budget.unlimited ~jobs:1 inst.Eps.Eps_template.template
-        ~r_star
+      Archex.Ilp_mr.run_checked ~budget:Budget.unlimited ~jobs:1
+        inst.Eps.Eps_template.template ~r_star
     with
     | Ok (Archex.Synthesis.Synthesized (arch, _, _)) -> arch
     | _ -> Alcotest.fail "direct run must synthesize"
@@ -555,7 +568,9 @@ let () =
         [ Alcotest.test_case "job json round-trip" `Quick
             test_protocol_roundtrip;
           Alcotest.test_case "typed parse errors" `Quick
-            test_protocol_parse_errors ] );
+            test_protocol_parse_errors;
+          Alcotest.test_case "legacy backend field ignored" `Quick
+            test_protocol_legacy_backend ] );
       ( "journal",
         [ Alcotest.test_case "kill-and-restart matrix" `Quick
             test_journal_kill_matrix;
