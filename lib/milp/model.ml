@@ -95,13 +95,6 @@ let fix m x value =
   vi.lb <- value;
   vi.ub <- value
 
-let narrow_bounds m x lo hi =
-  let vi = info m x in
-  let lo = Float.max vi.lb lo and hi = Float.min vi.ub hi in
-  if lo > hi +. 1e-9 then invalid_arg "Model.narrow_bounds: empty interval";
-  vi.lb <- lo;
-  vi.ub <- Float.max hi lo
-
 let is_pure_boolean m =
   let rec go i =
     i >= m.nvars || (m.vars.(i).kind = Boolean && go (i + 1))

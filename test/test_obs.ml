@@ -474,10 +474,7 @@ let test_solver_trace_shape () =
       checkb "positive cost" true (objective > 0.)
   | _ -> Alcotest.fail "expected optimal");
   (match Trace.tree_of_events (events ()) with
-  | [ root ] ->
-      check_str "root span" "solve" root.Trace.name;
-      checkb "presolve child" true
-        (List.exists (fun c -> c.Trace.name = "presolve") root.Trace.children)
+  | [ root ] -> check_str "root span" "solve" root.Trace.name
   | forest -> Alcotest.failf "expected 1 root, got %d" (List.length forest));
   checkb "solve.calls counted" true
     (Metrics.value metrics "solve.calls" = Some 1.);
