@@ -389,8 +389,9 @@ let bench_parallel () =
   let template = inst.Eps.Eps_template.template in
   let config =
     match Archex.Gen_ilp.solve (Archex.Gen_ilp.encode template) with
-    | Some (config, _, _) -> config
-    | None -> failwith "base EPS template infeasible"
+    | Archex.Gen_ilp.Solved { config; _ } -> config
+    | Archex.Gen_ilp.No_solution _ | Archex.Gen_ilp.Exhausted _ ->
+        failwith "base EPS template not solved"
   in
   let time f =
     let t0 = Clock.now () in
@@ -576,8 +577,9 @@ let bechamel () =
     let template = inst.Eps.Eps_template.template in
     let enc = Archex.Gen_ilp.encode template in
     match Archex.Gen_ilp.solve enc with
-    | Some (config, _, _) -> (template, config)
-    | None -> failwith "base EPS infeasible"
+    | Archex.Gen_ilp.Solved { config; _ } -> (template, config)
+    | Archex.Gen_ilp.No_solution _ | Archex.Gen_ilp.Exhausted _ ->
+        failwith "base EPS not solved"
   in
   let template, config = base_config () in
   let test_fig2_analysis =

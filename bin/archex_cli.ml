@@ -30,11 +30,16 @@ let jobs_arg =
   in
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~doc ~docv:"JOBS")
 
-let lazy_arg =
+(* --lazy: [Some Lazy_one_path], or [None] for the library's default —
+   ESTPATH-driven learning, or a resumed checkpoint's own strategy. *)
+let strategy_arg =
   let doc = "Use the lazy one-path-per-iteration learning strategy \
              (Table II baseline) instead of ESTPATH-driven learning."
   in
-  Arg.(value & flag & info [ "lazy" ] ~doc)
+  Term.(
+    const (fun lazy_ ->
+        if lazy_ then Some Archex.Learn_cons.Lazy_one_path else None)
+    $ Arg.(value & flag & info [ "lazy" ] ~doc))
 
 let diagram_arg =
   let doc = "Print the single-line diagram of the result." in
@@ -533,14 +538,10 @@ let resume_arg =
   Arg.(value & opt (some string) None & info [ "resume" ] ~doc ~docv:"FILE")
 
 let mr_term =
-  let run generators r_star lazy_ diagram obs3 stats res checkpoint resume
+  let run generators r_star strategy diagram obs3 stats res checkpoint resume
       jobs =
     install_interrupt_handlers ();
     let inst = instance_of generators in
-    let strategy =
-      if lazy_ then Archex.Learn_cons.Lazy_one_path
-      else Archex.Learn_cons.Estimated
-    in
     let budget = budget_of res in
     with_obs
       ~record:("mr", Some (model_hash_of inst.Eps.Eps_template.template))
@@ -548,9 +549,9 @@ let mr_term =
     @@ fun obs on_event ->
     note_budget obs res;
     with_faults res @@ fun () ->
-    let result =
-      match resume with
-      | Some path -> (
+    let resume_from =
+      Option.map
+        (fun path ->
           match Archex.Checkpoint.load path with
           | Error msg ->
               Format.eprintf "archex: cannot resume from %s: %s@." path msg;
@@ -560,12 +561,17 @@ let mr_term =
                 "archex: resuming after iteration %d (r* = %g)@."
                 (List.length from.Archex.Checkpoint.iterations)
                 from.Archex.Checkpoint.r_star;
-              Archex.Ilp_mr.resume ~obs ?on_event
-                ?strategy:(if lazy_ then Some strategy else None)
-                ~budget ?checkpoint ~jobs inst.Eps.Eps_template.template ~from)
-      | None ->
-          Archex.Ilp_mr.run ~obs ?on_event ~strategy ~budget ?checkpoint
-            ~jobs inst.Eps.Eps_template.template ~r_star
+              from)
+        resume
+    in
+    let r_star =
+      match resume_from with
+      | Some from -> from.Archex.Checkpoint.r_star
+      | None -> r_star
+    in
+    let result =
+      Archex.Ilp_mr.run ~obs ?on_event ?strategy ~budget ?checkpoint
+        ?resume_from ~jobs inst.Eps.Eps_template.template ~r_star
     in
     match result with
     | Archex.Synthesis.Synthesized (arch, trace, timing) ->
@@ -590,7 +596,7 @@ let mr_term =
         report_unfeasible "UNFEASIBLE" (List.length trace) reason
   in
   Term.(
-    const run $ generators_arg $ r_star_arg $ lazy_arg
+    const run $ generators_arg $ r_star_arg $ strategy_arg
     $ diagram_arg $ obs_args $ stats_arg $ resilience_args $ checkpoint_arg
     $ resume_arg $ jobs_arg)
 
@@ -599,12 +605,8 @@ let mr_cmd =
   Cmd.v (Cmd.info "mr" ~doc) mr_term
 
 let inspect_cmd =
-  let run generators r_star lazy_ obs3 res jobs top_k json out =
+  let run generators r_star strategy obs3 res jobs top_k json out =
     let inst = instance_of generators in
-    let strategy =
-      if lazy_ then Archex.Learn_cons.Lazy_one_path
-      else Archex.Learn_cons.Estimated
-    in
     let budget = budget_of res in
     with_obs
       ~record:
@@ -614,7 +616,7 @@ let inspect_cmd =
     note_budget obs res;
     with_faults res @@ fun () ->
     let result =
-      Archex.Ilp_mr.run ~obs ?on_event ~strategy ~budget ~jobs
+      Archex.Ilp_mr.run ~obs ?on_event ?strategy ~budget ~jobs
         ~inspect:true inst.Eps.Eps_template.template ~r_star
     in
     (* the report is worth rendering for unfeasible runs too — the
@@ -683,7 +685,7 @@ let inspect_cmd =
   in
   Cmd.v (Cmd.info "inspect" ~doc)
     Term.(
-      const run $ generators_arg $ r_star_arg $ lazy_arg
+      const run $ generators_arg $ r_star_arg $ strategy_arg
       $ obs_args $ resilience_args $ jobs_arg $ top_k_arg $ json_arg
       $ out_arg)
 
@@ -734,10 +736,14 @@ let analyze_cmd =
     @@ fun obs on_event ->
     let enc = Archex.Gen_ilp.encode ~obs template in
     match Archex.Gen_ilp.solve ~obs ?on_event enc with
-    | None ->
+    | Archex.Gen_ilp.No_solution _ ->
         Format.printf "template is infeasible@.";
         1
-    | Some (config, cost, _) ->
+    | Archex.Gen_ilp.Exhausted { error; _ } ->
+        Format.eprintf "analyze: %s@."
+          (Archex_resilience.Error.to_string error);
+        exit_exhausted
+    | Archex.Gen_ilp.Solved { config; objective = cost; _ } ->
         let report =
           Archex.Rel_analysis.analyze ~obs ~jobs template config
         in
@@ -903,17 +909,30 @@ let report_cmd =
   Cmd.v (Cmd.info "report" ~doc)
     Term.(const run $ trace_arg_pos $ metrics_arg $ out_arg)
 
+(* --time-tol / --count-tol of the regression gate ([bench-diff],
+   [runs diff], [trend]), over {!Archex_obs.Bench_compare}'s defaults. *)
+let tolerances_arg =
+  let module B = Archex_obs.Bench_compare in
+  let time_tol =
+    let doc = "Relative tolerance for wall-clock series (0.5 = 50%)." in
+    Arg.(value
+         & opt float B.default_tolerances.B.time_tol
+         & info [ "time-tol" ] ~doc ~docv:"REL")
+  in
+  let count_tol =
+    let doc = "Relative tolerance for counter series (0.25 = 25%)." in
+    Arg.(value
+         & opt float B.default_tolerances.B.count_tol
+         & info [ "count-tol" ] ~doc ~docv:"REL")
+  in
+  Term.(
+    const (fun time_tol count_tol ->
+        { B.default_tolerances with time_tol; count_tol })
+    $ time_tol $ count_tol)
+
 let bench_diff_cmd =
-  let run baseline_path current_path time_tol count_tol update_baseline
-      fail_on_new =
+  let run baseline_path current_path tol update_baseline fail_on_new =
     let module B = Archex_obs.Bench_compare in
-    let tol =
-      { B.default_tolerances with
-        time_tol =
-          Option.value time_tol ~default:B.default_tolerances.B.time_tol;
-        count_tol =
-          Option.value count_tol ~default:B.default_tolerances.B.count_tol }
-    in
     let baseline = load_json baseline_path in
     let current = load_json current_path in
     if update_baseline then begin
@@ -952,20 +971,6 @@ let bench_diff_cmd =
   let pos i docv doc =
     Arg.(required & pos i (some file) None & info [] ~docv ~doc)
   in
-  let time_tol_arg =
-    let doc =
-      "Relative tolerance for wall-clock series (default 0.5 = 50%)."
-    in
-    Arg.(value & opt (some float) None
-         & info [ "time-tol" ] ~doc ~docv:"REL")
-  in
-  let count_tol_arg =
-    let doc =
-      "Relative tolerance for counter series (default 0.25 = 25%)."
-    in
-    Arg.(value & opt (some float) None
-         & info [ "count-tol" ] ~doc ~docv:"REL")
-  in
   let update_arg =
     let doc =
       "Accept $(i,CURRENT) as the new baseline: print the diff, rewrite \
@@ -991,12 +996,13 @@ let bench_diff_cmd =
       const run
       $ pos 0 "BASELINE" "Baseline benchmark artifact."
       $ pos 1 "CURRENT" "Current benchmark artifact."
-      $ time_tol_arg $ count_tol_arg $ update_arg $ fail_on_new_arg)
+      $ tolerances_arg $ update_arg $ fail_on_new_arg)
 
 (* Explanation report shared by [explain] and [certify --explain]: the
-   final model of an ILP-MR run against the last iteration's solution,
-   with per-sink reliability margins and learned-constraint provenance. *)
-let mr_explanation template enc trace ~r_star =
+   last iteration's model (the final one of a synthesized run) against
+   its solution, with per-sink reliability margins and learned-constraint
+   provenance. *)
+let mr_explanation template trace ~r_star =
   match List.rev trace with
   | [] -> None
   | last :: _ ->
@@ -1022,7 +1028,7 @@ let mr_explanation template enc trace ~r_star =
       in
       Some
         (Archex_explain.markdown ~reliability ~learned
-           ~model:(Archex.Gen_ilp.model enc)
+           ~model:last.Archex.Ilp_mr.model
            ~solution:last.Archex.Ilp_mr.solution ())
 
 let cert_out_arg =
@@ -1031,20 +1037,15 @@ let cert_out_arg =
            ~doc:"Write the certificate to $(docv).")
 
 let certify_cmd =
-  let run generators r_star lazy_ obs4 out explain_out node_budget =
+  let run generators r_star strategy obs4 out explain_out node_budget =
     let inst = instance_of generators in
     let template = inst.Eps.Eps_template.template in
-    let strategy =
-      if lazy_ then Archex.Learn_cons.Lazy_one_path
-      else Archex.Learn_cons.Estimated
-    in
     with_obs ~record:("certify", Some (model_hash_of template)) obs4
     @@ fun obs on_event ->
-    let enc, result =
-      Archex.Ilp_mr.run_with_encoding ~obs ?on_event ~strategy
-        ~certify:true ?cert_node_budget:node_budget template ~r_star
-    in
-    match result with
+    match
+      Archex.Ilp_mr.run ~obs ?on_event ?strategy ~certify:true
+        ?cert_node_budget:node_budget template ~r_star
+    with
     | Archex.Synthesis.Unfeasible (_, trace, _) ->
         Format.eprintf
           "certify: UNFEASIBLE after %d iteration(s) — nothing to certify@."
@@ -1073,7 +1074,7 @@ let certify_cmd =
                 (match explain_out with
                 | None -> 0
                 | Some path -> (
-                    match mr_explanation template enc trace ~r_star with
+                    match mr_explanation template trace ~r_star with
                     | None ->
                         Format.eprintf "certify: empty trace@.";
                         1
@@ -1101,7 +1102,7 @@ let certify_cmd =
   in
   Cmd.v (Cmd.info "certify" ~doc)
     Term.(
-      const run $ generators_arg $ r_star_arg $ lazy_arg
+      const run $ generators_arg $ r_star_arg $ strategy_arg
       $ obs_args $ cert_out_arg $ explain_arg $ budget_arg)
 
 let check_cert_cmd =
@@ -1155,27 +1156,19 @@ let check_cert_cmd =
   Cmd.v (Cmd.info "check-cert" ~doc) Term.(const run $ cert_arg)
 
 let explain_cmd =
-  let run generators r_star lazy_ obs4 out =
+  let run generators r_star strategy obs4 out =
     let inst = instance_of generators in
     let template = inst.Eps.Eps_template.template in
-    let strategy =
-      if lazy_ then Archex.Learn_cons.Lazy_one_path
-      else Archex.Learn_cons.Estimated
-    in
     with_obs ~record:("explain", Some (model_hash_of template)) obs4
     @@ fun obs on_event ->
-    let enc, result =
-      Archex.Ilp_mr.run_with_encoding ~obs ?on_event ~strategy
-        template ~r_star
-    in
-    match result with
+    match Archex.Ilp_mr.run ~obs ?on_event ?strategy template ~r_star with
     | Archex.Synthesis.Unfeasible (_, trace, _) ->
         Format.eprintf
           "explain: UNFEASIBLE after %d iteration(s) — nothing to explain@."
           (List.length trace);
         1
     | Archex.Synthesis.Synthesized (_, trace, _) -> (
-        match mr_explanation template enc trace ~r_star with
+        match mr_explanation template trace ~r_star with
         | None ->
             Format.eprintf "explain: empty trace@.";
             1
@@ -1199,7 +1192,7 @@ let explain_cmd =
   in
   Cmd.v (Cmd.info "explain" ~doc)
     Term.(
-      const run $ generators_arg $ r_star_arg $ lazy_arg
+      const run $ generators_arg $ r_star_arg $ strategy_arg
       $ obs_args $ out_arg)
 
 let trace_export_cmd =
@@ -1323,15 +1316,8 @@ let runs_show_cmd =
     Term.(const run $ runs_root_arg $ run_id_pos 0 "RUN")
 
 let runs_diff_cmd =
-  let run root base_id cur_id time_tol count_tol fail_on_new =
+  let run root base_id cur_id tol fail_on_new =
     let module B = Archex_obs.Bench_compare in
-    let tol =
-      { B.default_tolerances with
-        time_tol =
-          Option.value time_tol ~default:B.default_tolerances.B.time_tol;
-        count_tol =
-          Option.value count_tol ~default:B.default_tolerances.B.count_tol }
-    in
     match
       (Reg.load ?root ~warn:reg_warn base_id,
        Reg.load ?root ~warn:reg_warn cur_id)
@@ -1373,20 +1359,6 @@ let runs_diff_cmd =
             end
             else 0)
   in
-  let time_tol_arg =
-    let doc =
-      "Relative tolerance for wall-clock series (default 0.5 = 50%)."
-    in
-    Arg.(value & opt (some float) None
-         & info [ "time-tol" ] ~doc ~docv:"REL")
-  in
-  let count_tol_arg =
-    let doc =
-      "Relative tolerance for counter series (default 0.25 = 25%)."
-    in
-    Arg.(value & opt (some float) None
-         & info [ "count-tol" ] ~doc ~docv:"REL")
-  in
   let fail_on_new_arg =
     let doc =
       "Strict mode: also exit 1 when the current run carries series \
@@ -1401,8 +1373,7 @@ let runs_diff_cmd =
   Cmd.v (Cmd.info "diff" ~doc)
     Term.(
       const run $ runs_root_arg $ run_id_pos 0 "BASELINE"
-      $ run_id_pos 1 "CURRENT" $ time_tol_arg $ count_tol_arg
-      $ fail_on_new_arg)
+      $ run_id_pos 1 "CURRENT" $ tolerances_arg $ fail_on_new_arg)
 
 let runs_cmd =
   let doc =
@@ -1416,15 +1387,7 @@ let runs_cmd =
 (* archex trend — regression verdict over registry history             *)
 
 let trend_cmd =
-  let run root series last command model time_tol count_tol json out =
-    let module B = Archex_obs.Bench_compare in
-    let tol =
-      { B.default_tolerances with
-        time_tol =
-          Option.value time_tol ~default:B.default_tolerances.B.time_tol;
-        count_tol =
-          Option.value count_tol ~default:B.default_tolerances.B.count_tol }
-    in
+  let run root series last command model tol json out =
     match
       Reg.list_recent ?root ~warn:reg_warn ?command ?model_hash:model ~last ()
     with
@@ -1478,20 +1441,6 @@ let trend_cmd =
     in
     Arg.(value & opt (some string) None & info [ "model" ] ~doc ~docv:"MD5")
   in
-  let time_tol_arg =
-    let doc =
-      "Relative tolerance for wall-clock series (default 0.5 = 50%)."
-    in
-    Arg.(value & opt (some float) None
-         & info [ "time-tol" ] ~doc ~docv:"REL")
-  in
-  let count_tol_arg =
-    let doc =
-      "Relative tolerance for counter series (default 0.25 = 25%)."
-    in
-    Arg.(value & opt (some float) None
-         & info [ "count-tol" ] ~doc ~docv:"REL")
-  in
   let json_arg =
     let doc = "Emit the analysis as JSON instead of markdown." in
     Arg.(value & flag & info [ "json" ] ~doc)
@@ -1510,7 +1459,7 @@ let trend_cmd =
   Cmd.v (Cmd.info "trend" ~doc)
     Term.(
       const run $ runs_root_arg $ series_arg $ last_arg $ command_arg
-      $ model_arg $ time_tol_arg $ count_tol_arg $ json_arg $ out_arg)
+      $ model_arg $ tolerances_arg $ json_arg $ out_arg)
 
 (* ------------------------------------------------------------------ *)
 (* archex top — terminal dashboard over a --metrics-stream file        *)

@@ -5,8 +5,9 @@
     constraint rows themselves — it records, per completed iteration, the
     solved configuration and the analysis figures that drove
     [LEARNCONS].  Because {!Learn_cons.learn} is deterministic in those
-    inputs, {!Ilp_mr.resume} reconstructs the extended model by replaying
-    the learning calls, then continues the loop from the next iteration.
+    inputs, [Ilp_mr.run ~resume_from] reconstructs the extended model by
+    replaying the learning calls, then continues the loop from the next
+    iteration.
     Replayed iterations can even be re-certified: at each replay step the
     model is exactly the model the original iteration solved (learning
     happens after certification, in both live and replayed runs), so a

@@ -165,7 +165,7 @@ let config_of_solution t solution =
     t.edges;
   g
 
-type checked =
+type outcome =
   | Solved of {
       solution : float array;
       config : Digraph.t;
@@ -178,7 +178,7 @@ type checked =
       stats : Milp.Solver.run_stats;
     }
 
-let solve_checked ?obs ?on_event ?rows ?time_limit ?budget t =
+let solve ?obs ?on_event ?rows ?time_limit ?budget t =
   match Milp.Solver.solve ?obs ?on_event ?rows ?time_limit ?budget t.model with
   | Milp.Solver.Optimal { objective; solution }, stats ->
       Solved
@@ -212,18 +212,3 @@ let solve_checked ?obs ?on_event ?rows ?time_limit ?budget t =
                 limit = Option.value time_limit ~default:0. }
       in
       Exhausted { error; stats }
-
-let solve_raw ?obs ?on_event ?time_limit t =
-  match solve_checked ?obs ?on_event ?time_limit t with
-  | Solved { solution; config; objective; stats } ->
-      Some (solution, config, objective, stats)
-  | No_solution _ -> None
-  | Exhausted { error; _ } ->
-      failwith
-        (Printf.sprintf "Gen_ilp.solve: %s"
-           (Archex_resilience.Error.to_string error))
-
-let solve ?obs ?on_event ?time_limit t =
-  Option.map
-    (fun (_, config, objective, stats) -> (config, objective, stats))
-    (solve_raw ?obs ?on_event ?time_limit t)

@@ -35,7 +35,7 @@ val delta_var : t -> int -> Milp.Model.var option
 val config_of_solution : t -> float array -> Netgraph.Digraph.t
 (** Read a configuration out of a 0-1 solution. *)
 
-type checked =
+type outcome =
   | Solved of {
       solution : float array;
       config : Netgraph.Digraph.t;
@@ -54,35 +54,15 @@ type checked =
           [stats.best_bound] still carries whatever lower bound the
           aborted search proved. *)
 
-val solve_checked :
+val solve :
   ?obs:Archex_obs.Ctx.t ->
   ?on_event:(Archex_obs.Event.t -> unit) ->
   ?rows:Milp.Row_stats.t ->
   ?time_limit:float ->
   ?budget:Archex_resilience.Budget.t ->
-  t -> checked
-(** [SOLVEILP] with typed outcomes: infeasibility and budget exhaustion
-    are distinct constructors, never conflated (the silent-truncation
-    hazard of the raw interface).  [budget] is forwarded to
-    {!Milp.Solver.solve}, which clamps the call under the global
-    allowance and charges the nodes it spends.  [rows] forwards per-row
-    activity tracking (see {!Milp.Solver.solve}). *)
-
-val solve :
-  ?obs:Archex_obs.Ctx.t ->
-  ?on_event:(Archex_obs.Event.t -> unit) ->
-  ?time_limit:float -> t ->
-  (Netgraph.Digraph.t * float * Milp.Solver.run_stats) option
-(** [SOLVEILP]: minimize and extract the configuration and its objective;
-    [None] when infeasible.  [obs] / [on_event] are forwarded to
-    {!Milp.Solver.solve}.
-    @raise Failure on solver resource-limit outcomes (prefer
-    {!solve_checked}, which types them). *)
-
-val solve_raw :
-  ?obs:Archex_obs.Ctx.t ->
-  ?on_event:(Archex_obs.Event.t -> unit) ->
-  ?time_limit:float -> t ->
-  (float array * Netgraph.Digraph.t * float * Milp.Solver.run_stats) option
-(** Like {!solve} but also returns the raw 0-1 assignment, which
-    certification ({!Archex_cert}) needs verbatim. *)
+  t -> outcome
+(** [SOLVEILP]: minimize, and read the configuration out of the solution.
+    Infeasibility and budget exhaustion are distinct constructors, never
+    conflated.  [obs], [on_event], [rows] (per-row activity tracking) and
+    [budget] are forwarded to {!Milp.Solver.solve}, which clamps the call
+    under the global allowance and charges the nodes it spends. *)

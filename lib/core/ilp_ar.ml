@@ -222,10 +222,9 @@ let approx_on_config template config =
     (0., infinity)
     (Template.sinks template)
 
-let run ?(obs = Archex_obs.Ctx.null) ?on_event ?engine
-    ?(time_limit = 300.) ?(certify = false) ?cert_node_budget
-    ?(budget = Archex_resilience.Budget.unlimited) ?(jobs = 1) template
-    ~r_star =
+let run ?(obs = Archex_obs.Ctx.null) ?on_event ?(time_limit = 300.)
+    ?(certify = false) ?(budget = Archex_resilience.Budget.unlimited)
+    ?(jobs = 1) template ~r_star =
   Archex_obs.Trace.with_span (Archex_obs.Ctx.trace obs) "ilp_ar"
   @@ fun () ->
   let t0 = Archex_obs.Clock.now () in
@@ -241,7 +240,7 @@ let run ?(obs = Archex_obs.Ctx.null) ?on_event ?engine
       (float_of_int info.constraint_count)
   end;
   match
-    Gen_ilp.solve_checked ~obs ?on_event
+    Gen_ilp.solve ~obs ?on_event
       ?time_limit:
         (Some
            (Option.value
@@ -271,14 +270,12 @@ let run ?(obs = Archex_obs.Ctx.null) ?on_event ?engine
           Some
             (Archex_obs.Trace.with_span (Archex_obs.Ctx.trace obs) "certify"
              @@ fun () ->
-             Archex_cert.certify ?node_budget:cert_node_budget
-               (Gen_ilp.model enc)
+             Archex_cert.certify (Gen_ilp.model enc)
                ~incumbent:(Some (cost, solution)))
         else None
       in
       let report =
-        Rel_analysis.analyze ~obs ?on_event ?engine ~budget ~jobs template
-          config
+        Rel_analysis.analyze ~obs ?on_event ~budget ~jobs template config
       in
       let estimate, bound = approx_on_config template config in
       Archex_obs.Gc_metrics.sample metrics;

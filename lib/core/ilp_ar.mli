@@ -26,10 +26,8 @@ type info = {
 val run :
   ?obs:Archex_obs.Ctx.t ->
   ?on_event:(Archex_obs.Event.t -> unit) ->
-  ?engine:Reliability.Exact.engine ->
   ?time_limit:float ->
   ?certify:bool ->
-  ?cert_node_budget:int ->
   ?budget:Archex_resilience.Budget.t ->
   ?jobs:int ->
   Archlib.Template.t -> r_star:float -> info Synthesis.result
@@ -58,8 +56,8 @@ val run :
 
     [certify] (default false) re-proves the monolithic optimum with
     {!Archex_cert.certify} (inside a ["certify"] span when tracing) and
-    stores the result in the info's [cert] field; [cert_node_budget] caps
-    the certifying search.
+    stores the result in the info's [cert] field, under
+    {!Archex_cert.default_node_budget}.
     @raise Invalid_argument if the template declares no type chain or a
     type's members have differing failure probabilities. *)
 

@@ -16,6 +16,7 @@ type iteration = {
   cert : (Archex_obs.Json.t, string) result option;
   learned_rows : Archex_obs.Json.t list;
   insight : Archex_obs.Json.t option;
+  model : Milp.Model.t;
 }
 
 type trace = iteration list
@@ -98,10 +99,29 @@ let prefix_overlap a b =
    inspection never retains a full search log. *)
 let decision_capture_limit = 512
 
-let run_with_encoding ?(obs = Archex_obs.Ctx.null) ?on_event ?strategy
-    ?engine ?(max_iterations = 50) ?(solve_time_limit = 180.)
-    ?(certify = false) ?cert_node_budget ?(budget = B.unlimited) ?checkpoint
-    ?resume_from ?(jobs = 1) ?(inspect = false) template ~r_star =
+(* Guard against non-termination: a run still short of r* after this many
+   iterations reports [Iteration_limit]. *)
+let max_iterations = 50
+
+let run ?(obs = Archex_obs.Ctx.null) ?on_event ?strategy
+    ?(solve_time_limit = 180.) ?(certify = false) ?cert_node_budget
+    ?(budget = B.unlimited) ?checkpoint ?resume_from ?(jobs = 1)
+    ?(inspect = false) template ~r_star =
+  (match resume_from with
+  | Some ck when ck.Checkpoint.r_star <> r_star ->
+      invalid_arg
+        (Printf.sprintf
+           "Ilp_mr.run: r_star %g is not the checkpoint's r* %g" r_star
+           ck.Checkpoint.r_star)
+  | _ -> ());
+  let strategy =
+    match (strategy, resume_from) with
+    | Some s, _ -> s
+    | None, Some ck ->
+        Option.value ~default:Learn_cons.Estimated
+          (Option.bind ck.Checkpoint.strategy strategy_of_name)
+    | None, None -> Learn_cons.Estimated
+  in
   let tracer = Archex_obs.Ctx.trace obs in
   let metrics = Archex_obs.Ctx.metrics obs in
   let root_attrs =
@@ -112,472 +132,436 @@ let run_with_encoding ?(obs = Archex_obs.Ctx.null) ?on_event ?strategy
   let t_run = Archex_obs.Clock.now () in
   let t0 = Archex_obs.Clock.now () in
   let enc = Gen_ilp.encode ~obs template in
-  let result =
-    Archex_obs.Trace.with_span ~attrs:root_attrs tracer "ilp_mr" @@ fun () ->
-    let setup_time = Archex_obs.Clock.now () -. t0 in
-    let learn_state = Learn_cons.init ~obs enc in
-    let solver_total = ref 0. in
-    let analysis_total = ref 0. in
-    (* inspection state: learn breakpoints (row births), the previous
-       iteration's row count and decision prefix, and the running
-       redundancy / overlap means behind the warm-start-potential score *)
-    let breakpoints = ref [] in
-    let prev_rows = ref None in
-    let prev_decisions = ref None in
-    let red_sum = ref 0. and red_n = ref 0 in
-    let ov_sum = ref 0. and ov_n = ref 0 in
-    let note_learned ~index ~rows_before_learn =
-      if
-        Milp.Model.constraint_count (Gen_ilp.model enc) > rows_before_learn
-      then breakpoints := (rows_before_learn, index) :: !breakpoints
+  Archex_obs.Trace.with_span ~attrs:root_attrs tracer "ilp_mr" @@ fun () ->
+  let setup_time = Archex_obs.Clock.now () -. t0 in
+  let learn_state = Learn_cons.init ~obs enc in
+  let solver_total = ref 0. in
+  let analysis_total = ref 0. in
+  (* inspection state: learn breakpoints (row births), the previous
+     iteration's row count and decision prefix, and the running
+     redundancy / overlap means behind the warm-start-potential score *)
+  let breakpoints = ref [] in
+  let prev_rows = ref None in
+  let prev_decisions = ref None in
+  let red_sum = ref 0. and red_n = ref 0 in
+  let ov_sum = ref 0. and ov_n = ref 0 in
+  let note_learned ~index ~rows_before_learn =
+    if
+      Milp.Model.constraint_count (Gen_ilp.model enc) > rows_before_learn
+    then breakpoints := (rows_before_learn, index) :: !breakpoints
+  in
+  let trace = ref [] in
+  let ckpt_rev = ref [] in
+  (* cost of the last solved relaxation: each iteration's model is a
+     relaxation of every later one, so its optimum is a valid global
+     lower bound to report on budget exhaustion *)
+  let last_cost = ref None in
+  let timing () =
+    { Synthesis.setup_time;
+      solver_time = !solver_total;
+      analysis_time = !analysis_total }
+  in
+  let save_checkpoint () =
+    match checkpoint with
+    | None -> ()
+    | Some path -> (
+        let ck =
+          { Checkpoint.r_star;
+            strategy = Some (strategy_name strategy);
+            iterations = List.rev !ckpt_rev }
+        in
+        match Checkpoint.save path ck with
+        | Ok () -> ()
+        | Error msg ->
+            Logs.warn (fun m -> m "Ilp_mr: checkpoint not saved: %s" msg))
+  in
+  let emit_iteration it =
+    match on_event with
+    | None -> ()
+    | Some f ->
+        f
+          { Archex_obs.Event.source = "ilp-mr";
+            kind = Archex_obs.Event.Iteration;
+            elapsed = Archex_obs.Clock.now () -. t_run;
+            data =
+              [ ("iteration", float_of_int it.index);
+                ("cost", it.cost);
+                ("reliability", it.reliability);
+                ("new_constraints", float_of_int it.new_constraints);
+                ("solver_time", it.solver_time);
+                ("analysis_time", it.analysis_time);
+                ("nodes", float_of_int it.stats.Milp.Solver.nodes);
+                ("conflicts", float_of_int it.stats.Milp.Solver.conflicts)
+              ]
+          }
+  in
+  let push it =
+    trace := it :: !trace;
+    ckpt_rev := checkpoint_iteration it :: !ckpt_rev;
+    last_cost := Some it.cost;
+    emit_iteration it;
+    save_checkpoint ()
+  in
+  let exhausted error =
+    Synthesis.Unfeasible
+      ( Synthesis.Budget_exhausted
+          { error; incumbent = None; bound = !last_cost },
+        List.rev !trace,
+        timing () )
+  in
+  (* The model as this iteration solved it, before Learn_cons extends
+     it: the iteration keeps a copy, and certification proves the
+     optimum on it. *)
+  let solved_model ~cost solution =
+    let model = Milp.Model.copy (Gen_ilp.model enc) in
+    let cert =
+      if certify then
+        Some
+          (Archex_obs.Trace.with_span tracer "certify" @@ fun () ->
+           Archex_cert.certify ?node_budget:cert_node_budget model
+             ~incumbent:(Some (cost, solution)))
+      else None
     in
-    let trace = ref [] in
-    let ckpt_rev = ref [] in
-    (* cost of the last solved relaxation: each iteration's model is a
-       relaxation of every later one, so its optimum is a valid global
-       lower bound to report on budget exhaustion *)
-    let last_cost = ref None in
-    let timing () =
-      { Synthesis.setup_time;
-        solver_time = !solver_total;
-        analysis_time = !analysis_total }
+    (model, cert)
+  in
+  (* Deterministic replay of a previous run's prefix: re-certify against
+     the model exactly as that iteration solved it, then re-run the
+     learning call (deterministic in the recorded analysis figures) so
+     the model grows back to its checkpointed shape. *)
+  let replay (ck : Checkpoint.t) =
+    List.iter
+      (fun (cit : Checkpoint.iteration) ->
+        Archex_obs.Trace.with_span
+          ~attrs:
+            (if Archex_obs.Trace.enabled tracer then
+               [ ("index", Archex_obs.Json.Num (float_of_int cit.index));
+                 ("replayed", Archex_obs.Json.Bool true) ]
+             else [])
+          tracer "iteration"
+        @@ fun () ->
+        let config =
+          Archlib.Template.config_of_edges template cit.Checkpoint.edges
+        in
+        let model, cert = solved_model ~cost:cit.cost cit.solution in
+        let rows_before_learn =
+          Milp.Model.constraint_count (Gen_ilp.model enc)
+        in
+        (match cit.k_estimate with
+        | None -> ()
+        | Some _ -> (
+            match
+              Learn_cons.learn ~strategy learn_state ~config
+                ~reliability:cit.reliability ~r_star
+            with
+            | Learn_cons.Learned _ -> ()
+            | Learn_cons.Saturated ->
+                raise
+                  (Err.E
+                     (Err.Internal
+                        { stage = "ilp-mr.resume";
+                          detail =
+                            Printf.sprintf
+                              "replay diverged at iteration %d: learning \
+                               saturated where the original run learned \
+                               (checkpoint does not match this template)"
+                              cit.index }))));
+        note_learned ~index:cit.index ~rows_before_learn;
+        push
+          { index = cit.index;
+            config;
+            cost = cit.cost;
+            reliability = cit.reliability;
+            per_sink = cit.per_sink;
+            k_estimate = cit.k_estimate;
+            new_constraints = cit.new_constraints;
+            solver_time = 0.;
+            analysis_time = 0.;
+            stats = replay_stats;
+            solution = cit.solution;
+            cert;
+            learned_rows = Learn_cons.drain_learned learn_state;
+            insight = None;
+            model })
+      ck.Checkpoint.iterations;
+    List.length ck.Checkpoint.iterations
+  in
+  let replayed =
+    match resume_from with None -> 0 | Some ck -> replay ck
+  in
+  (* One iteration of the Algorithm 1 loop, wrapped in its own span; the
+     tail call happens outside the span so iteration n+1 is a sibling of
+     iteration n, not its child. *)
+  let step index =
+    let attrs =
+      if Archex_obs.Trace.enabled tracer then
+        [ ("index", Archex_obs.Json.Num (float_of_int index)) ]
+      else []
     in
-    let save_checkpoint () =
-      match checkpoint with
-      | None -> ()
-      | Some path -> (
-          let ck =
-            { Checkpoint.r_star;
-              strategy = Option.map strategy_name strategy;
-              iterations = List.rev !ckpt_rev }
-          in
-          match Checkpoint.save path ck with
-          | Ok () -> ()
-          | Error msg ->
-              Logs.warn (fun m -> m "Ilp_mr: checkpoint not saved: %s" msg))
-    in
-    let emit_iteration it =
-      match on_event with
-      | None -> ()
-      | Some f ->
-          f
-            { Archex_obs.Event.source = "ilp-mr";
-              kind = Archex_obs.Event.Iteration;
-              elapsed = Archex_obs.Clock.now () -. t_run;
-              data =
-                [ ("iteration", float_of_int it.index);
-                  ("cost", it.cost);
-                  ("reliability", it.reliability);
-                  ("new_constraints", float_of_int it.new_constraints);
-                  ("solver_time", it.solver_time);
-                  ("analysis_time", it.analysis_time);
-                  ("nodes", float_of_int it.stats.Milp.Solver.nodes);
-                  ("conflicts", float_of_int it.stats.Milp.Solver.conflicts)
-                ]
-            }
-    in
-    let push it =
-      trace := it :: !trace;
-      ckpt_rev := checkpoint_iteration it :: !ckpt_rev;
-      last_cost := Some it.cost;
-      emit_iteration it;
-      save_checkpoint ()
-    in
-    let exhausted error =
-      Synthesis.Unfeasible
-        ( Synthesis.Budget_exhausted
-            { error; incumbent = None; bound = !last_cost },
-          List.rev !trace,
-          timing () )
-    in
-    (* Deterministic replay of a previous run's prefix: re-certify against
-       the model exactly as that iteration solved it, then re-run the
-       learning call (deterministic in the recorded analysis figures) so
-       the model grows back to its checkpointed shape. *)
-    let replay (ck : Checkpoint.t) =
-      List.iter
-        (fun (cit : Checkpoint.iteration) ->
-          Archex_obs.Trace.with_span
-            ~attrs:
-              (if Archex_obs.Trace.enabled tracer then
-                 [ ("index", Archex_obs.Json.Num (float_of_int cit.index));
-                   ("replayed", Archex_obs.Json.Bool true) ]
-               else [])
-            tracer "iteration"
-          @@ fun () ->
-          let config =
-            Archlib.Template.config_of_edges template cit.Checkpoint.edges
-          in
-          let cert =
-            if certify then
-              Some
-                (Archex_obs.Trace.with_span tracer "certify" @@ fun () ->
-                 Archex_cert.certify ?node_budget:cert_node_budget
-                   (Gen_ilp.model enc)
-                   ~incumbent:(Some (cit.cost, cit.solution)))
-            else None
-          in
-          let rows_before_learn =
-            Milp.Model.constraint_count (Gen_ilp.model enc)
-          in
-          (match cit.k_estimate with
-          | None -> ()
-          | Some _ -> (
-              match
-                Learn_cons.learn ?strategy learn_state ~config
-                  ~reliability:cit.reliability ~r_star
-              with
-              | Learn_cons.Learned _ -> ()
-              | Learn_cons.Saturated ->
-                  raise
-                    (Err.E
-                       (Err.Internal
-                          { stage = "ilp-mr.resume";
-                            detail =
-                              Printf.sprintf
-                                "replay diverged at iteration %d: learning \
-                                 saturated where the original run learned \
-                                 (checkpoint does not match this template)"
-                                cit.index }))));
-          note_learned ~index:cit.index ~rows_before_learn;
-          push
-            { index = cit.index;
-              config;
-              cost = cit.cost;
-              reliability = cit.reliability;
-              per_sink = cit.per_sink;
-              k_estimate = cit.k_estimate;
-              new_constraints = cit.new_constraints;
-              solver_time = 0.;
-              analysis_time = 0.;
-              stats = replay_stats;
-              solution = cit.solution;
-              cert;
-              learned_rows = Learn_cons.drain_learned learn_state;
-              insight = None })
-        ck.Checkpoint.iterations;
-      List.length ck.Checkpoint.iterations
-    in
-    let replayed =
-      match resume_from with None -> 0 | Some ck -> replay ck
-    in
-    (* One iteration of the Algorithm 1 loop, wrapped in its own span; the
-       tail call happens outside the span so iteration n+1 is a sibling of
-       iteration n, not its child. *)
-    let step index =
-      let attrs =
-        if Archex_obs.Trace.enabled tracer then
-          [ ("index", Archex_obs.Json.Num (float_of_int index)) ]
-        else []
-      in
-      Archex_obs.Trace.with_span ~attrs tracer "iteration" @@ fun () ->
-      Archex_obs.Metrics.incr
-        (Archex_obs.Metrics.counter metrics "mr.iterations");
-      match B.check ~stage:"ilp-mr" budget with
-      | Error e -> `Done (exhausted e)
-      | Ok () -> (
-          (* inspection plumbing for this solve: a fresh per-row activity
-             table and a search-log shim capturing the first decisions of
-             the search (forwarding to the user's sink, if any) *)
-          let rows_total =
-            Milp.Model.constraint_count (Gen_ilp.model enc)
-          in
-          let row_stats =
-            if inspect then Some (Milp.Row_stats.create ()) else None
-          in
-          let captured = ref [] in
-          let ncaptured = ref 0 in
-          let solve_obs =
-            if not inspect then obs
-            else begin
-              let user_sink = Archex_obs.Ctx.search_log obs in
-              let sink j =
-                (match j with
-                | J.Obj fields
-                  when !ncaptured < decision_capture_limit
-                       && List.assoc_opt "ev" fields
-                          = Some (J.Str "decision") -> (
-                    match
-                      ( List.assoc_opt "var" fields,
-                        List.assoc_opt "value" fields )
-                    with
-                    | Some (J.Num v), Some (J.Num value) ->
-                        captured := (v, value) :: !captured;
-                        incr ncaptured
-                    | _ -> ())
-                | _ -> ());
-                match user_sink with Some f -> f j | None -> ()
+    Archex_obs.Trace.with_span ~attrs tracer "iteration" @@ fun () ->
+    Archex_obs.Metrics.incr
+      (Archex_obs.Metrics.counter metrics "mr.iterations");
+    match B.check ~stage:"ilp-mr" budget with
+    | Error e -> `Done (exhausted e)
+    | Ok () -> (
+        (* inspection plumbing for this solve: a fresh per-row activity
+           table and a search-log shim capturing the first decisions of
+           the search (forwarding to the user's sink, if any) *)
+        let rows_total =
+          Milp.Model.constraint_count (Gen_ilp.model enc)
+        in
+        let row_stats =
+          if inspect then Some (Milp.Row_stats.create ()) else None
+        in
+        let captured = ref [] in
+        let ncaptured = ref 0 in
+        let solve_obs =
+          if not inspect then obs
+          else begin
+            let user_sink = Archex_obs.Ctx.search_log obs in
+            let sink j =
+              (match j with
+              | J.Obj fields
+                when !ncaptured < decision_capture_limit
+                     && List.assoc_opt "ev" fields
+                        = Some (J.Str "decision") -> (
+                  match
+                    ( List.assoc_opt "var" fields,
+                      List.assoc_opt "value" fields )
+                  with
+                  | Some (J.Num v), Some (J.Num value) ->
+                      captured := (v, value) :: !captured;
+                      incr ncaptured
+                  | _ -> ())
+              | _ -> ());
+              match user_sink with Some f -> f j | None -> ()
+            in
+            Archex_obs.Ctx.make
+              ~trace:(Archex_obs.Ctx.trace obs)
+              ~metrics ~search_log:sink ()
+          end
+        in
+        match
+          Gen_ilp.solve ~obs:solve_obs ?on_event ?rows:row_stats
+            ?time_limit:(B.slice ~cap:solve_time_limit budget) ~budget enc
+        with
+        | Gen_ilp.No_solution { stats } ->
+            solver_total := !solver_total +. stats.Milp.Solver.elapsed;
+            `Done
+              (Synthesis.Unfeasible
+                 (Synthesis.Proved_infeasible, List.rev !trace, timing ()))
+        | Gen_ilp.Exhausted { error; stats } ->
+            solver_total := !solver_total +. stats.Milp.Solver.elapsed;
+            let bound =
+              match (stats.Milp.Solver.best_bound, !last_cost) with
+              | Some b, Some c -> Some (Float.max b c)
+              | (Some _ as b), None -> b
+              | None, b -> b
+            in
+            `Done
+              (Synthesis.Unfeasible
+                 ( Synthesis.Budget_exhausted
+                     { error; incumbent = None; bound },
+                   List.rev !trace,
+                   timing () ))
+        | Gen_ilp.Solved { solution; config; objective = cost; stats } ->
+            solver_total := !solver_total +. stats.Milp.Solver.elapsed;
+            let model, cert = solved_model ~cost solution in
+            let report =
+              Rel_analysis.analyze ~obs ?on_event ~budget ~jobs template
+                config
+            in
+            analysis_total := !analysis_total +. report.Rel_analysis.elapsed;
+            let reliability = report.Rel_analysis.worst in
+            Archex_obs.Gc_metrics.sample metrics;
+            (* distill the iteration's search-effectiveness signals into
+               one JSON record (see the inspection comment above); also
+               updates the running redundancy/overlap means and the
+               [mr.redundancy_ratio] / [mr.warm_start_potential] gauges *)
+            let build_insight () =
+              let rs =
+                match row_stats with
+                | Some rs -> rs
+                | None -> Milp.Row_stats.create ()
               in
-              Archex_obs.Ctx.make
-                ~trace:(Archex_obs.Ctx.trace obs)
-                ~metrics ~search_log:sink ()
-            end
-          in
-          match
-            Gen_ilp.solve_checked ~obs:solve_obs ?on_event ?rows:row_stats
-              ?time_limit:(B.slice ~cap:solve_time_limit budget) ~budget enc
-          with
-          | Gen_ilp.No_solution { stats } ->
-              solver_total := !solver_total +. stats.Milp.Solver.elapsed;
-              `Done
-                (Synthesis.Unfeasible
-                   (Synthesis.Proved_infeasible, List.rev !trace, timing ()))
-          | Gen_ilp.Exhausted { error; stats } ->
-              solver_total := !solver_total +. stats.Milp.Solver.elapsed;
-              let bound =
-                match (stats.Milp.Solver.best_bound, !last_cost) with
-                | Some b, Some c -> Some (Float.max b c)
-                | (Some _ as b), None -> b
-                | None, b -> b
+              let names =
+                Array.of_list
+                  (List.map
+                     (fun r -> r.Milp.Model.cname)
+                     (Milp.Model.constraints (Gen_ilp.model enc)))
               in
+              let cname id =
+                if id < Array.length names then names.(id) else None
+              in
+              let bps = !breakpoints in
+              let activity = ref [] in
+              (* indices ≥ rows_total belong to solver-side extras (the
+                 Obj_bound row): not rows of this model, skipped *)
+              for id = min rows_total (Milp.Row_stats.rows rs) - 1
+                  downto 0 do
+                if Milp.Row_stats.activity rs id > 0 then begin
+                  let born = born_of bps id in
+                  let name =
+                    match cname id with
+                    | Some n -> n
+                    | None -> Printf.sprintf "row%d" id
+                  in
+                  activity :=
+                    J.Obj
+                      [ ("row", J.Num (float_of_int id));
+                        ("name", J.Str name);
+                        ("kind", J.Str (row_kind ~born (cname id)));
+                        ("born", J.Num (float_of_int born));
+                        ( "props",
+                          J.Num
+                            (float_of_int
+                               (Milp.Row_stats.propagations rs id)) );
+                        ( "conflicts",
+                          J.Num
+                            (float_of_int (Milp.Row_stats.conflicts rs id))
+                        );
+                        ( "binding",
+                          J.Num
+                            (float_of_int (Milp.Row_stats.binding rs id))
+                        ) ]
+                    :: !activity
+                end
+              done;
+              let decisions = Array.of_list (List.rev !captured) in
+              let carried = !prev_rows in
+              let redundancy =
+                match carried with
+                | Some p when rows_total > 0 ->
+                    Some (float_of_int p /. float_of_int rows_total)
+                | _ -> None
+              in
+              let overlap =
+                Option.map
+                  (fun p -> prefix_overlap p decisions)
+                  !prev_decisions
+              in
+              (match redundancy with
+              | Some r ->
+                  red_sum := !red_sum +. r;
+                  incr red_n
+              | None -> ());
+              (match overlap with
+              | Some o ->
+                  ov_sum := !ov_sum +. o;
+                  incr ov_n
+              | None -> ());
+              let mean s n = s /. float_of_int n in
+              let warm_start =
+                match (!red_n, !ov_n) with
+                | 0, 0 -> None
+                | rn, 0 -> Some (mean !red_sum rn)
+                | 0, on -> Some (mean !ov_sum on)
+                | rn, on ->
+                    Some
+                      ((0.5 *. mean !red_sum rn)
+                      +. (0.5 *. mean !ov_sum on))
+              in
+              (match redundancy with
+              | Some r ->
+                  Archex_obs.Metrics.set
+                    (Archex_obs.Metrics.gauge metrics
+                       "mr.redundancy_ratio")
+                    r
+              | None -> ());
+              (match warm_start with
+              | Some w ->
+                  Archex_obs.Metrics.set
+                    (Archex_obs.Metrics.gauge metrics
+                       "mr.warm_start_potential")
+                    w
+              | None -> ());
+              prev_rows := Some rows_total;
+              prev_decisions := Some decisions;
+              let opt = function Some v -> J.Num v | None -> J.Null in
+              let rows_after =
+                Milp.Model.constraint_count (Gen_ilp.model enc)
+              in
+              J.Obj
+                [ ("iteration", J.Num (float_of_int index));
+                  ("rows_total", J.Num (float_of_int rows_total));
+                  ( "rows_carried",
+                    opt (Option.map float_of_int carried) );
+                  ( "rows_learned",
+                    J.Num (float_of_int (rows_after - rows_total)) );
+                  ("redundancy_ratio", opt redundancy);
+                  ( "decisions_captured",
+                    J.Num (float_of_int (Array.length decisions)) );
+                  ("prefix_overlap", opt overlap);
+                  ("warm_start_potential", opt warm_start);
+                  ("activity", J.Arr !activity);
+                  ( "learned_names",
+                    (* names of the rows this iteration's analysis
+                       appended, in id order from [rows_total]: lets a
+                       reader enumerate every learned row, active or
+                       dead *)
+                    J.Arr
+                      (List.init (rows_after - rows_total) (fun i ->
+                           let id = rows_total + i in
+                           match cname id with
+                           | Some n -> J.Str n
+                           | None -> J.Str (Printf.sprintf "row%d" id)))
+                  ) ]
+            in
+            let record ~k_estimate ~new_constraints =
+              let insight =
+                if inspect then Some (build_insight ()) else None
+              in
+              push
+                { index;
+                  config;
+                  cost;
+                  reliability;
+                  per_sink = report.Rel_analysis.per_sink;
+                  k_estimate;
+                  new_constraints;
+                  solver_time = stats.Milp.Solver.elapsed;
+                  analysis_time = report.Rel_analysis.elapsed;
+                  stats;
+                  solution;
+                  cert;
+                  learned_rows = Learn_cons.drain_learned learn_state;
+                  insight;
+                  model }
+            in
+            if Rel_analysis.meets report ~r_star then begin
+              record ~k_estimate:None ~new_constraints:0;
               `Done
-                (Synthesis.Unfeasible
-                   ( Synthesis.Budget_exhausted
-                       { error; incumbent = None; bound },
+                (Synthesis.Synthesized
+                   ( Synthesis.architecture template config report,
                      List.rev !trace,
                      timing () ))
-          | Gen_ilp.Solved { solution; config; objective = cost; stats } ->
-              solver_total := !solver_total +. stats.Milp.Solver.elapsed;
-              (* certification must look at the model as solved, i.e. before
-                 Learn_cons extends it below *)
-              let cert =
-                if certify then
-                  Some
-                    (Archex_obs.Trace.with_span tracer "certify" @@ fun () ->
-                     Archex_cert.certify ?node_budget:cert_node_budget
-                       (Gen_ilp.model enc)
-                       ~incumbent:(Some (cost, solution)))
-                else None
-              in
-              let report =
-                Rel_analysis.analyze ~obs ?on_event ?engine ~budget ~jobs
-                  template config
-              in
-              analysis_total := !analysis_total +. report.Rel_analysis.elapsed;
-              let reliability = report.Rel_analysis.worst in
-              Archex_obs.Gc_metrics.sample metrics;
-              (* distill the iteration's search-effectiveness signals into
-                 one JSON record (see the inspection comment above); also
-                 updates the running redundancy/overlap means and the
-                 [mr.redundancy_ratio] / [mr.warm_start_potential] gauges *)
-              let build_insight () =
-                let rs =
-                  match row_stats with
-                  | Some rs -> rs
-                  | None -> Milp.Row_stats.create ()
-                in
-                let names =
-                  Array.of_list
-                    (List.map
-                       (fun r -> r.Milp.Model.cname)
-                       (Milp.Model.constraints (Gen_ilp.model enc)))
-                in
-                let cname id =
-                  if id < Array.length names then names.(id) else None
-                in
-                let bps = !breakpoints in
-                let activity = ref [] in
-                (* indices ≥ rows_total belong to solver-side extras (the
-                   Obj_bound row): not rows of this model, skipped *)
-                for id = min rows_total (Milp.Row_stats.rows rs) - 1
-                    downto 0 do
-                  if Milp.Row_stats.activity rs id > 0 then begin
-                    let born = born_of bps id in
-                    let name =
-                      match cname id with
-                      | Some n -> n
-                      | None -> Printf.sprintf "row%d" id
-                    in
-                    activity :=
-                      J.Obj
-                        [ ("row", J.Num (float_of_int id));
-                          ("name", J.Str name);
-                          ("kind", J.Str (row_kind ~born (cname id)));
-                          ("born", J.Num (float_of_int born));
-                          ( "props",
-                            J.Num
-                              (float_of_int
-                                 (Milp.Row_stats.propagations rs id)) );
-                          ( "conflicts",
-                            J.Num
-                              (float_of_int (Milp.Row_stats.conflicts rs id))
-                          );
-                          ( "binding",
-                            J.Num
-                              (float_of_int (Milp.Row_stats.binding rs id))
-                          ) ]
-                      :: !activity
-                  end
-                done;
-                let decisions = Array.of_list (List.rev !captured) in
-                let carried = !prev_rows in
-                let redundancy =
-                  match carried with
-                  | Some p when rows_total > 0 ->
-                      Some (float_of_int p /. float_of_int rows_total)
-                  | _ -> None
-                in
-                let overlap =
-                  Option.map
-                    (fun p -> prefix_overlap p decisions)
-                    !prev_decisions
-                in
-                (match redundancy with
-                | Some r ->
-                    red_sum := !red_sum +. r;
-                    incr red_n
-                | None -> ());
-                (match overlap with
-                | Some o ->
-                    ov_sum := !ov_sum +. o;
-                    incr ov_n
-                | None -> ());
-                let mean s n = s /. float_of_int n in
-                let warm_start =
-                  match (!red_n, !ov_n) with
-                  | 0, 0 -> None
-                  | rn, 0 -> Some (mean !red_sum rn)
-                  | 0, on -> Some (mean !ov_sum on)
-                  | rn, on ->
-                      Some
-                        ((0.5 *. mean !red_sum rn)
-                        +. (0.5 *. mean !ov_sum on))
-                in
-                (match redundancy with
-                | Some r ->
-                    Archex_obs.Metrics.set
-                      (Archex_obs.Metrics.gauge metrics
-                         "mr.redundancy_ratio")
-                      r
-                | None -> ());
-                (match warm_start with
-                | Some w ->
-                    Archex_obs.Metrics.set
-                      (Archex_obs.Metrics.gauge metrics
-                         "mr.warm_start_potential")
-                      w
-                | None -> ());
-                prev_rows := Some rows_total;
-                prev_decisions := Some decisions;
-                let opt = function Some v -> J.Num v | None -> J.Null in
-                let rows_after =
-                  Milp.Model.constraint_count (Gen_ilp.model enc)
-                in
-                J.Obj
-                  [ ("iteration", J.Num (float_of_int index));
-                    ("rows_total", J.Num (float_of_int rows_total));
-                    ( "rows_carried",
-                      opt (Option.map float_of_int carried) );
-                    ( "rows_learned",
-                      J.Num (float_of_int (rows_after - rows_total)) );
-                    ("redundancy_ratio", opt redundancy);
-                    ( "decisions_captured",
-                      J.Num (float_of_int (Array.length decisions)) );
-                    ("prefix_overlap", opt overlap);
-                    ("warm_start_potential", opt warm_start);
-                    ("activity", J.Arr !activity);
-                    ( "learned_names",
-                      (* names of the rows this iteration's analysis
-                         appended, in id order from [rows_total]: lets a
-                         reader enumerate every learned row, active or
-                         dead *)
-                      J.Arr
-                        (List.init (rows_after - rows_total) (fun i ->
-                             let id = rows_total + i in
-                             match cname id with
-                             | Some n -> J.Str n
-                             | None -> J.Str (Printf.sprintf "row%d" id)))
-                    ) ]
-              in
-              let record ~k_estimate ~new_constraints =
-                let insight =
-                  if inspect then Some (build_insight ()) else None
-                in
-                push
-                  { index;
-                    config;
-                    cost;
-                    reliability;
-                    per_sink = report.Rel_analysis.per_sink;
-                    k_estimate;
-                    new_constraints;
-                    solver_time = stats.Milp.Solver.elapsed;
-                    analysis_time = report.Rel_analysis.elapsed;
-                    stats;
-                    solution;
-                    cert;
-                    learned_rows = Learn_cons.drain_learned learn_state;
-                    insight }
-              in
-              if Rel_analysis.meets report ~r_star then begin
-                record ~k_estimate:None ~new_constraints:0;
-                `Done
-                  (Synthesis.Synthesized
-                     ( Synthesis.architecture template config report,
-                       List.rev !trace,
-                       timing () ))
-              end
-              else begin
-                match
-                  Learn_cons.learn ?strategy learn_state ~config ~reliability
-                    ~r_star
-                with
-                | Learn_cons.Saturated ->
-                    record ~k_estimate:None ~new_constraints:0;
-                    `Done
-                      (Synthesis.Unfeasible
-                         (Synthesis.Saturated, List.rev !trace, timing ()))
-                | Learn_cons.Learned { k; new_constraints } ->
-                    note_learned ~index ~rows_before_learn:rows_total;
-                    record ~k_estimate:(Some k) ~new_constraints;
-                    `Continue
-              end)
-    in
-    let rec iterate index =
-      if index > max_iterations then
-        Synthesis.Unfeasible
-          (Synthesis.Iteration_limit max_iterations, List.rev !trace,
-           timing ())
-      else
-        match step index with
-        | `Done result -> result
-        | `Continue -> iterate (index + 1)
-    in
-    iterate (replayed + 1)
+            end
+            else begin
+              match
+                Learn_cons.learn ~strategy learn_state ~config ~reliability
+                  ~r_star
+              with
+              | Learn_cons.Saturated ->
+                  record ~k_estimate:None ~new_constraints:0;
+                  `Done
+                    (Synthesis.Unfeasible
+                       (Synthesis.Saturated, List.rev !trace, timing ()))
+              | Learn_cons.Learned { k; new_constraints } ->
+                  note_learned ~index ~rows_before_learn:rows_total;
+                  record ~k_estimate:(Some k) ~new_constraints;
+                  `Continue
+            end)
   in
-  (enc, result)
-
-let run ?obs ?on_event ?strategy ?engine ?max_iterations ?solve_time_limit
-    ?certify ?cert_node_budget ?budget ?checkpoint ?resume_from ?jobs
-    ?inspect template ~r_star =
-  snd
-    (run_with_encoding ?obs ?on_event ?strategy ?engine
-       ?max_iterations ?solve_time_limit ?certify ?cert_node_budget ?budget
-       ?checkpoint ?resume_from ?jobs ?inspect template ~r_star)
-
-let resume ?obs ?on_event ?strategy ?engine ?max_iterations ?solve_time_limit
-    ?certify ?cert_node_budget ?budget ?checkpoint ?jobs ?inspect template
-    ~from =
-  let strategy =
-    match strategy with
-    | Some _ -> strategy
-    | None -> Option.bind from.Checkpoint.strategy strategy_of_name
+  let rec iterate index =
+    if index > max_iterations then
+      Synthesis.Unfeasible
+        (Synthesis.Iteration_limit max_iterations, List.rev !trace,
+         timing ())
+    else
+      match step index with
+      | `Done result -> result
+      | `Continue -> iterate (index + 1)
   in
-  run ?obs ?on_event ?strategy ?engine ?max_iterations
-    ?solve_time_limit ?certify ?cert_node_budget ?budget ?checkpoint ?jobs
-    ?inspect ~resume_from:from template
-    ~r_star:from.Checkpoint.r_star
-
-let run_checked ?obs ?on_event ?strategy ?engine ?max_iterations
-    ?solve_time_limit ?certify ?cert_node_budget ?budget ?checkpoint
-    ?resume_from ?jobs ?inspect template ~r_star =
-  match Archlib.Template.validate_all template with
-  | Error violations -> Error (Err.Invalid_input violations)
-  | Ok () ->
-      Err.guard ~stage:"ilp-mr" (fun () ->
-          run ?obs ?on_event ?strategy ?engine ?max_iterations
-            ?solve_time_limit ?certify ?cert_node_budget ?budget ?checkpoint
-            ?resume_from ?jobs ?inspect template ~r_star)
+  iterate (replayed + 1)
 
 let certificate_of_trace ~r_star trace =
   let rec collect acc = function

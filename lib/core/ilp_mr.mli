@@ -9,9 +9,10 @@
     The loop is resilient: a global {!Archex_resilience.Budget} is
     partitioned across iterations, exhaustion surfaces as a typed
     [Budget_exhausted] (never conflated with infeasibility), and a run can
-    checkpoint after every iteration and {!resume} later — deterministic
-    replay reconstructs the learned model, so the resumed run reaches the
-    same final architecture the uninterrupted run would have. *)
+    checkpoint after every iteration and be resumed later ([?resume_from])
+    — deterministic replay reconstructs the learned model, so the resumed
+    run reaches the same final architecture the uninterrupted run would
+    have. *)
 
 type iteration = {
   index : int;                      (** 1-based *)
@@ -52,6 +53,11 @@ type iteration = {
           ["learned"]), birth iteration [born], and the
           [props]/[conflicts]/[binding] counters of
           {!Milp.Row_stats}. *)
+  model : Milp.Model.t;
+      (** a copy of the model this iteration solved, taken before the
+          iteration's learned constraints extend it.  [solution] is an
+          assignment of it, [cert] proves its optimum there, and on a
+          synthesized run the last iteration's model is the final ILP. *)
 }
 
 type trace = iteration list
@@ -61,8 +67,6 @@ val run :
   ?obs:Archex_obs.Ctx.t ->
   ?on_event:(Archex_obs.Event.t -> unit) ->
   ?strategy:Learn_cons.strategy ->
-  ?engine:Reliability.Exact.engine ->
-  ?max_iterations:int ->
   ?solve_time_limit:float ->
   ?certify:bool ->
   ?cert_node_budget:int ->
@@ -73,13 +77,13 @@ val run :
   ?inspect:bool ->
   Archlib.Template.t -> r_star:float -> trace Synthesis.result
 (** Synthesize a minimum-cost architecture with worst-sink failure
-    probability at most [r*].  [strategy] defaults to
-    {!Learn_cons.Estimated}; [max_iterations] (default 50) guards
-    non-termination and reports [Unfeasible (Iteration_limit _)] when
-    exhausted.  [solve_time_limit] (default 180 s) caps each [SOLVEILP]
-    call; a time-limited call falls back to the solver's best incumbent
-    (feasible, possibly not proven optimal — the ε tolerance of
-    Theorem 1).
+    probability at most [r*].  [strategy] defaults to the checkpoint's
+    strategy when resuming and to {!Learn_cons.Estimated} otherwise.  A
+    run that has not converged after 50 iterations reports
+    [Unfeasible (Iteration_limit 50)].  [solve_time_limit] (default
+    180 s) caps each [SOLVEILP] call; a time-limited call falls back to
+    the solver's best incumbent (feasible, possibly not proven optimal —
+    the ε tolerance of Theorem 1).
 
     [budget] (default unlimited) is the run's global allowance.  Each
     iteration first passes through {!Archex_resilience.Budget.check}, each
@@ -94,12 +98,14 @@ val run :
     final one.
 
     [checkpoint] (default none) writes an {!Checkpoint} file atomically
-    after {e every} recorded iteration, so a killed run can continue with
-    {!resume} from the last completed iteration.  [resume_from] replays a
-    checkpoint's iterations first — re-running the deterministic learning
-    calls (and, when [certify] is set, re-certifying against the replayed
-    model, which is exactly the model the original iteration solved) —
-    then continues the loop at the next index.
+    after {e every} recorded iteration, so a killed run can continue from
+    the last completed iteration.  [resume_from] replays a checkpoint's
+    iterations first — re-running the deterministic learning calls (and,
+    when [certify] is set, re-certifying against the replayed model, which
+    is exactly the model the original iteration solved) — then continues
+    the loop at the next index.  Pass [~r_star:ck.r_star]; an explicit
+    [strategy] other than the checkpoint's voids the replay's determinism
+    guarantee.
 
     [certify] (default false) re-proves every iteration's optimum with
     {!Archex_cert.certify} — on the model exactly as solved, before the
@@ -129,70 +135,10 @@ val run :
     {!type:iteration}).  The per-iteration redundancy ratio and the
     running warm-start-potential score are also published as
     [mr.redundancy_ratio] / [mr.warm_start_potential] gauges, which the
-    CLI records into the run registry for [archex trend]. *)
-
-val run_with_encoding :
-  ?obs:Archex_obs.Ctx.t ->
-  ?on_event:(Archex_obs.Event.t -> unit) ->
-  ?strategy:Learn_cons.strategy ->
-  ?engine:Reliability.Exact.engine ->
-  ?max_iterations:int ->
-  ?solve_time_limit:float ->
-  ?certify:bool ->
-  ?cert_node_budget:int ->
-  ?budget:Archex_resilience.Budget.t ->
-  ?checkpoint:string ->
-  ?resume_from:Checkpoint.t ->
-  ?jobs:int ->
-  ?inspect:bool ->
-  Archlib.Template.t -> r_star:float -> Gen_ilp.t * trace Synthesis.result
-(** Like {!run} but also returns the encoding, whose model is the final
-    (fully extended) ILP — what the explanation report
-    ({!Archex_explain}) renders against the last iteration's solution. *)
-
-val resume :
-  ?obs:Archex_obs.Ctx.t ->
-  ?on_event:(Archex_obs.Event.t -> unit) ->
-  ?strategy:Learn_cons.strategy ->
-  ?engine:Reliability.Exact.engine ->
-  ?max_iterations:int ->
-  ?solve_time_limit:float ->
-  ?certify:bool ->
-  ?cert_node_budget:int ->
-  ?budget:Archex_resilience.Budget.t ->
-  ?checkpoint:string ->
-  ?jobs:int ->
-  ?inspect:bool ->
-  Archlib.Template.t -> from:Checkpoint.t -> trace Synthesis.result
-(** {!run} continued from a checkpoint: [r*] comes from the checkpoint,
-    and [strategy] defaults to the checkpointed name (an explicit argument
-    still wins — but changing it voids the replay's determinism
-    guarantee).  Pass [checkpoint] (typically the same path)
-    to keep checkpointing the resumed run.
-    @raise Invalid_argument if the checkpoint references edges that are
-    not candidates in [template] (checkpoint/template mismatch). *)
-
-val run_checked :
-  ?obs:Archex_obs.Ctx.t ->
-  ?on_event:(Archex_obs.Event.t -> unit) ->
-  ?strategy:Learn_cons.strategy ->
-  ?engine:Reliability.Exact.engine ->
-  ?max_iterations:int ->
-  ?solve_time_limit:float ->
-  ?certify:bool ->
-  ?cert_node_budget:int ->
-  ?budget:Archex_resilience.Budget.t ->
-  ?checkpoint:string ->
-  ?resume_from:Checkpoint.t ->
-  ?jobs:int ->
-  ?inspect:bool ->
-  Archlib.Template.t -> r_star:float ->
-  (trace Synthesis.result, Archex_resilience.Error.t) result
-(** The trust-boundary entry point: first {!Archlib.Template.validate_all}
-    — {e every} violation of a hostile template is collected into one
-    [Invalid_input] — then {!run} under {!Archex_resilience.Error.guard},
-    so an escaped [Invalid_argument] / [Failure] / checkpoint-mismatch
-    surfaces as a typed error instead of an exception. *)
+    CLI records into the run registry for [archex trend].
+    @raise Invalid_argument if [resume_from] was checkpointed at another
+    [r*], or references edges that are not candidates in [template]
+    (checkpoint/template mismatch). *)
 
 val certificate_of_trace :
   r_star:float -> trace -> (Archex_obs.Json.t, string) result

@@ -35,38 +35,21 @@ let and_var ?name m xs =
   end;
   y
 
-let implies ?name m a b =
-  Model.add_constraint ?name m
-    (Lin_expr.sub (Lin_expr.var a) (Lin_expr.var b))
-    Model.Le 0.
-
 let implies_or ?name m a bs =
   Model.add_constraint ?name m
     (Lin_expr.sub (Lin_expr.var a) (sum_vars bs))
     Model.Le 0.
 
-let or_implies ?name m as_ b = List.iter (fun a -> implies ?name m a b) as_
-
-let iff ?name m a b =
-  Model.add_constraint ?name m
-    (Lin_expr.sub (Lin_expr.var a) (Lin_expr.var b))
-    Model.Eq 0.
-
-let at_most_k ?name m xs k =
-  Model.add_constraint ?name m (sum_vars xs) Model.Le (float_of_int k)
-
 let at_least_k ?name m xs k =
   Model.add_constraint ?name m (sum_vars xs) Model.Ge (float_of_int k)
-
-let exactly_k ?name m xs k =
-  Model.add_constraint ?name m (sum_vars xs) Model.Eq (float_of_int k)
 
 let count_channel ?(prefix = "cnt") m xs =
   let n = List.length xs in
   let make k = Model.bool_var ~name:(Printf.sprintf "%s_%d" prefix k) m in
   let ind = Array.init (n + 1) make in
   let ind_list = Array.to_list ind in
-  exactly_k ~name:(prefix ^ "_one") m ind_list 1;
+  Model.add_constraint ~name:(prefix ^ "_one") m (sum_vars ind_list) Model.Eq
+    1.;
   let weighted =
     Lin_expr.of_terms (List.mapi (fun k x -> (x, float_of_int k))
                          ind_list)
@@ -75,19 +58,3 @@ let count_channel ?(prefix = "cnt") m xs =
     (Lin_expr.sub weighted (sum_vars xs))
     Model.Eq 0.;
   ind
-
-let ge_indicator ?name m e b ~big_m =
-  let y = Model.bool_var ?name m in
-  (* e ≥ b - M(1 - y)  ⇔  e - M·y ≥ b - M *)
-  Model.add_constraint m
-    (Lin_expr.add_term e y (-.big_m))
-    Model.Ge (b -. big_m);
-  y
-
-let le_indicator ?name m e b ~big_m =
-  let y = Model.bool_var ?name m in
-  (* e ≤ b + M(1 - y)  ⇔  e + M·y ≤ b + M *)
-  Model.add_constraint m
-    (Lin_expr.add_term e y big_m)
-    Model.Le (b +. big_m);
-  y

@@ -14,22 +14,12 @@ val and_var : ?name:string -> Model.t -> Model.var list -> Model.var
 (** Fresh [y = ∧ xs] (rows [y ≤ xᵢ] and [y ≥ Σ xs - (|xs| - 1)]).
     [xs = []] yields a variable fixed to 1. *)
 
-val implies : ?name:string -> Model.t -> Model.var -> Model.var -> unit
-(** [implies m a b] adds [a ≤ b]. *)
-
 val implies_or : ?name:string -> Model.t -> Model.var -> Model.var list -> unit
 (** [a → ∨ bs] as [a ≤ Σ bs] — Eq. 3's shape without materializing the
     left-hand OR. *)
 
-val or_implies : ?name:string -> Model.t -> Model.var list -> Model.var -> unit
-(** [(∨ as) → b] as the rows [aᵢ ≤ b]. *)
-
-val iff : ?name:string -> Model.t -> Model.var -> Model.var -> unit
-(** [a = b]. *)
-
-val at_most_k : ?name:string -> Model.t -> Model.var list -> int -> unit
 val at_least_k : ?name:string -> Model.t -> Model.var list -> int -> unit
-val exactly_k : ?name:string -> Model.t -> Model.var list -> int -> unit
+(** [Σ xs ≥ k]. *)
 
 val count_channel :
   ?prefix:string -> Model.t -> Model.var list -> Model.var array
@@ -37,13 +27,3 @@ val count_channel :
     with [ind.(k) = 1 ↔ Σ xs = k], via the channelling rows
     [Σ_k ind.(k) = 1] and [Σ_k k·ind.(k) = Σ xs] — the device behind the
     paper's Eqs. 10–11 ([x_ijk] selection). *)
-
-val ge_indicator :
-  ?name:string -> Model.t -> Lin_expr.t -> float -> big_m:float -> Model.var
-(** [ge_indicator m e b ~big_m] is a fresh [y] with [y = 1 → e ≥ b]
-    (one-sided big-M row [e ≥ b - M(1 - y)]).  [big_m] must bound
-    [b - min e]. *)
-
-val le_indicator :
-  ?name:string -> Model.t -> Lin_expr.t -> float -> big_m:float -> Model.var
-(** [y = 1 → e ≤ b] via [e ≤ b + M(1 - y)]. *)

@@ -3,8 +3,6 @@ type outcome =
   | Infeasible
 
 let solve ?(max_vars = 25) m =
-  if not (Model.is_pure_boolean m) then
-    invalid_arg "Brute: model has non-Boolean variables";
   let n = Model.var_count m in
   let free =
     List.filter

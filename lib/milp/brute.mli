@@ -11,5 +11,5 @@ type outcome =
 val solve : ?max_vars:int -> Model.t -> outcome
 (** Minimize by enumeration.  Respects variables already fixed via
     {!Model.fix}.
-    @raise Invalid_argument if the model is not pure Boolean or has more than
-    [max_vars] (default 25) free variables. *)
+    @raise Invalid_argument if the model has more than [max_vars]
+    (default 25) free variables. *)

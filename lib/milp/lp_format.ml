@@ -54,41 +54,19 @@ let to_string m =
     Buffer.add_string buf (Printf.sprintf " %s %.17g\n" op row.Model.rhs)
   in
   Model.iter_constraints m emit_row;
+  (* every variable is declared in Binary; only fixed ones need a bound *)
   Buffer.add_string buf "Bounds\n";
   for x = 0 to n - 1 do
     let lb = Model.lower_bound m x and ub = Model.upper_bound m x in
-    match Model.kind_of m x with
-    | Model.Boolean when lb = 0. && ub = 1. -> () (* declared in Binary *)
-    | _ ->
-        let bound v =
-          if Float.is_finite v then Printf.sprintf "%.17g" v
-          else if v > 0. then "+inf"
-          else "-inf"
-        in
-        Buffer.add_string buf
-          (Printf.sprintf " %s <= %s <= %s\n" (bound lb) names.(x) (bound ub))
+    if lb <> 0. || ub <> 1. then
+      Buffer.add_string buf
+        (Printf.sprintf " %.17g <= %s <= %.17g\n" lb names.(x) ub)
   done;
-  let integers =
-    List.filter
-      (fun x -> match Model.kind_of m x with
-        | Model.Integer _ -> true
-        | Model.Boolean | Model.Continuous _ -> false)
-      (List.init n Fun.id)
-  and binaries =
-    List.filter (fun x -> Model.kind_of m x = Model.Boolean)
-      (List.init n Fun.id)
-  in
-  if integers <> [] then begin
-    Buffer.add_string buf "General\n";
-    List.iter
-      (fun x -> Buffer.add_string buf (Printf.sprintf " %s\n" names.(x)))
-      integers
-  end;
-  if binaries <> [] then begin
+  if n > 0 then begin
     Buffer.add_string buf "Binary\n";
-    List.iter
-      (fun x -> Buffer.add_string buf (Printf.sprintf " %s\n" names.(x)))
-      binaries
+    for x = 0 to n - 1 do
+      Buffer.add_string buf (Printf.sprintf " %s\n" names.(x))
+    done
   end;
   Buffer.add_string buf "End\n";
   Buffer.contents buf

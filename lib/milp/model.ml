@@ -1,10 +1,5 @@
 type var = int
 
-type kind =
-  | Boolean
-  | Integer of int * int
-  | Continuous of float * float
-
 type cmp = Le | Ge | Eq
 
 type row = {
@@ -16,7 +11,6 @@ type row = {
 
 type var_info = {
   vname : string option;
-  kind : kind;
   mutable lb : float;
   mutable ub : float;
 }
@@ -35,29 +29,17 @@ let create () =
 let grow m =
   let cap = Array.length m.vars in
   if m.nvars = cap then begin
-    let dummy = { vname = None; kind = Boolean; lb = 0.; ub = 1. } in
+    let dummy = { vname = None; lb = 0.; ub = 1. } in
     let vars = Array.make (max 8 (2 * cap)) dummy in
     Array.blit m.vars 0 vars 0 cap;
     m.vars <- vars
   end
 
-let bounds_of_kind = function
-  | Boolean -> (0., 1.)
-  | Integer (lo, hi) ->
-      if lo > hi then invalid_arg "Model.add_var: empty integer range";
-      (float_of_int lo, float_of_int hi)
-  | Continuous (lo, hi) ->
-      if lo > hi then invalid_arg "Model.add_var: empty continuous range";
-      (lo, hi)
-
-let add_var ?name m kind =
+let bool_var ?name m =
   grow m;
-  let lb, ub = bounds_of_kind kind in
-  m.vars.(m.nvars) <- { vname = name; kind; lb; ub };
+  m.vars.(m.nvars) <- { vname = name; lb = 0.; ub = 1. };
   m.nvars <- m.nvars + 1;
   m.nvars - 1
-
-let bool_var ?name m = add_var ?name m Boolean
 
 let bool_vars ?prefix m n =
   let make i =
@@ -72,7 +54,6 @@ let check_var m x =
   if x < 0 || x >= m.nvars then invalid_arg "Model: variable out of range"
 
 let info m x = check_var m x; m.vars.(x)
-let kind_of m x = (info m x).kind
 
 let name_of m x =
   match (info m x).vname with
@@ -82,24 +63,14 @@ let name_of m x =
 let lower_bound m x = (info m x).lb
 let upper_bound m x = (info m x).ub
 
-let is_integral_kind = function
-  | Boolean | Integer _ -> true
-  | Continuous _ -> false
-
 let fix m x value =
   let vi = info m x in
   if value < vi.lb -. 1e-9 || value > vi.ub +. 1e-9 then
     invalid_arg "Model.fix: value outside bounds";
-  if is_integral_kind vi.kind && Float.abs (value -. Float.round value) > 1e-9
-  then invalid_arg "Model.fix: non-integral value for integral variable";
+  if Float.abs (value -. Float.round value) > 1e-9 then
+    invalid_arg "Model.fix: non-integral value";
   vi.lb <- value;
   vi.ub <- value
-
-let is_pure_boolean m =
-  let rec go i =
-    i >= m.nvars || (m.vars.(i).kind = Boolean && go (i + 1))
-  in
-  go 0
 
 let add_constraint ?name m expr cmp rhs =
   let expr, rhs =
@@ -151,8 +122,7 @@ let is_feasible ?(tol = 1e-6) m value =
     let vi = m.vars.(x) in
     let v = value x in
     v >= vi.lb -. tol && v <= vi.ub +. tol
-    && ((not (is_integral_kind vi.kind))
-        || Float.abs (v -. Float.round v) <= tol)
+    && Float.abs (v -. Float.round v) <= tol
   in
   let rec all_bounds i = i >= m.nvars || (bounds_ok i && all_bounds (i + 1)) in
   all_bounds 0 && violated_constraints ~tol m value = []
@@ -168,15 +138,13 @@ let copy m =
 
    The wire format of optimality certificates (Archex_cert): a model is
    re-checkable offline only if the certificate carries it, so the
-   encoding round-trips everything semantic — kinds, (possibly narrowed)
-   bounds, row order, names.  Infinite continuous bounds serialize as
-   [null] (JSON has no infinities); [of_json] restores the side. *)
+   encoding round-trips everything semantic — (possibly narrowed) bounds,
+   row order, names.  Every variable carries ["kind": "bool"], the one
+   kind there is, so that certificate files keep their layout. *)
 
 module Json = Archex_obs.Json
 
 let cmp_name = function Le -> "le" | Ge -> "ge" | Eq -> "eq"
-
-let num_or_null v = if Float.is_finite v then Json.Num v else Json.Null
 
 let expr_fields e =
   [ ("const", Json.Num (Lin_expr.constant e));
@@ -187,23 +155,13 @@ let expr_fields e =
           (Lin_expr.terms e))) ]
 
 let to_json m =
-  let kind_json = function
-    | Boolean -> Json.Str "bool"
-    | Integer (lo, hi) ->
-        Json.Obj
-          [ ("int",
-             Json.Arr
-               [ Json.Num (float_of_int lo); Json.Num (float_of_int hi) ]) ]
-    | Continuous (lo, hi) ->
-        Json.Obj [ ("cont", Json.Arr [ num_or_null lo; num_or_null hi ]) ]
-  in
   let var_json i =
     let vi = m.vars.(i) in
     Json.Obj
       ((match vi.vname with Some n -> [ ("name", Json.Str n) ] | None -> [])
-      @ [ ("kind", kind_json vi.kind);
-          ("lb", num_or_null vi.lb);
-          ("ub", num_or_null vi.ub) ])
+      @ [ ("kind", Json.Str "bool");
+          ("lb", Json.Num vi.lb);
+          ("ub", Json.Num vi.ub) ])
   in
   let row_json r =
     Json.Obj
@@ -232,13 +190,6 @@ let of_json j =
     | Json.Arr l -> Ok l
     | v -> err "model JSON: %s must be an array, got %s" ctx (Json.to_string v)
   in
-  let bound ~default ctx = function
-    | Json.Null -> Ok default
-    | Json.Num v -> Ok v
-    | v ->
-        err "model JSON: %s must be a number or null, got %s" ctx
-          (Json.to_string v)
-  in
   let rec map_result f = function
     | [] -> Ok []
     | x :: tl ->
@@ -250,18 +201,6 @@ let of_json j =
     let* x = num ctx v in
     if Float.is_integer x then Ok (int_of_float x)
     else err "model JSON: %s must be an integer, got %g" ctx x
-  in
-  let kind_of_json = function
-    | Json.Str "bool" -> Ok Boolean
-    | Json.Obj [ ("int", Json.Arr [ lo; hi ]) ] ->
-        let* lo = int_of "int lower bound" lo in
-        let* hi = int_of "int upper bound" hi in
-        Ok (Integer (lo, hi))
-    | Json.Obj [ ("cont", Json.Arr [ lo; hi ]) ] ->
-        let* lo = bound ~default:Float.neg_infinity "cont lower bound" lo in
-        let* hi = bound ~default:Float.infinity "cont upper bound" hi in
-        Ok (Continuous (lo, hi))
-    | v -> err "model JSON: bad variable kind %s" (Json.to_string v)
   in
   let term nvars = function
     | Json.Arr [ x; a ] ->
@@ -285,24 +224,22 @@ let of_json j =
   in
   let m = create () in
   let add_parsed_var o =
-    let* kj = field "kind" o in
-    let* kind = kind_of_json kj in
+    let* kind = field "kind" o in
+    let* () =
+      match kind with
+      | Json.Str "bool" -> Ok ()
+      | v -> err "model JSON: bad variable kind %s" (Json.to_string v)
+    in
     let name = Option.bind (Json.mem "name" o) Json.to_str in
-    let x = try Ok (add_var ?name m kind) with Invalid_argument e -> Error e in
-    let* x = x in
-    let klb, kub = bounds_of_kind kind in
+    let x = bool_var ?name m in
     let* lb =
-      match Json.mem "lb" o with
-      | None -> Ok klb
-      | Some v -> bound ~default:Float.neg_infinity "lb" v
+      match Json.mem "lb" o with None -> Ok 0. | Some v -> num "lb" v
     in
     let* ub =
-      match Json.mem "ub" o with
-      | None -> Ok kub
-      | Some v -> bound ~default:Float.infinity "ub" v
+      match Json.mem "ub" o with None -> Ok 1. | Some v -> num "ub" v
     in
-    if lb < klb || ub > kub || lb > ub then
-      err "model JSON: variable %s bounds [%g, %g] outside kind range"
+    if lb < 0. || ub > 1. || lb > ub then
+      err "model JSON: variable %s bounds [%g, %g] outside [0, 1]"
         (name_of m x) lb ub
     else begin
       let vi = m.vars.(x) in
@@ -347,12 +284,3 @@ let of_json j =
   in
   let* () = iter_result add_row rows in
   Ok m
-
-let pp_stats ppf m =
-  let bools =
-    let count acc i = if m.vars.(i).kind = Boolean then acc + 1 else acc in
-    List.fold_left count 0 (List.init m.nvars Fun.id)
-  in
-  Format.fprintf ppf "%d vars (%d bool), %d constraints, %d objective terms"
-    m.nvars bools m.nrows
-    (Lin_expr.term_count m.obj)

@@ -1,16 +1,11 @@
-(** Mixed 0-1 / integer / linear model builder — the YALMIP-role layer.
+(** 0-1 model builder — the YALMIP-role layer.
 
-    A model is a mutable container of variables, linear constraints and a
-    minimization objective.  Solvers ({!Pb_solver}, {!Brute}) consume
-    models; {!Bool_encode} adds logical sugar on top. *)
+    A model is a mutable container of 0-1 variables, linear constraints
+    and a minimization objective.  Solvers ({!Pb_solver}, {!Brute})
+    consume models; {!Bool_encode} adds logical sugar on top. *)
 
 type t
 type var = int
-
-type kind =
-  | Boolean
-  | Integer of int * int        (** inclusive bounds *)
-  | Continuous of float * float (** inclusive bounds, may be infinite *)
 
 type cmp = Le | Ge | Eq
 
@@ -27,11 +22,9 @@ val create : unit -> t
 
 (** {1 Variables} *)
 
-val add_var : ?name:string -> t -> kind -> var
 val bool_var : ?name:string -> t -> var
 val bool_vars : ?prefix:string -> t -> int -> var array
 val var_count : t -> int
-val kind_of : t -> var -> kind
 val name_of : t -> var -> string
 (** Given name, or ["x<i>"]. *)
 
@@ -40,11 +33,8 @@ val upper_bound : t -> var -> float
 
 val fix : t -> var -> float -> unit
 (** Narrow a variable's bounds to a single value.
-    @raise Invalid_argument if the value is outside the current bounds or not
-    integral for a Boolean/Integer variable. *)
-
-val is_pure_boolean : t -> bool
-(** All variables Boolean (possibly fixed). *)
+    @raise Invalid_argument if the value is outside the current bounds or
+    not integral. *)
 
 (** {1 Constraints and objective} *)
 
@@ -82,16 +72,13 @@ val copy : t -> t
 (** {1 Serialization}
 
     The wire format embedded in optimality certificates: everything
-    semantic round-trips — variable kinds, possibly-narrowed bounds,
-    objective, rows in insertion order, names.  Infinite continuous
-    bounds serialize as [null]. *)
+    semantic round-trips — possibly-narrowed bounds, objective, rows in
+    insertion order, names.  Every variable is written with
+    [{"kind": "bool"}]. *)
 
 val to_json : t -> Archex_obs.Json.t
 
 val of_json : Archex_obs.Json.t -> (t, string) result
-(** Rebuilds a model from {!to_json} output.  Validation errors (unknown
-    kinds, variable indices out of range, bounds outside the kind's
-    range) are reported, not raised. *)
-
-val pp_stats : Format.formatter -> t -> unit
-(** One-line summary: #vars (#bool), #constraints, #objective terms. *)
+(** Rebuilds a model from {!to_json} output.  Validation errors (a kind
+    other than ["bool"], variable indices out of range, bounds outside
+    [[0, 1]]) are reported, not raised. *)

@@ -1,20 +1,14 @@
 module Imap = Map.Make (Int)
 
-(* A candidate row: support variables (all Boolean, unit coefficients,
-   non-negative objective cost), requirement k ≥ 1. *)
+(* A candidate row: support variables (unit coefficients, non-negative
+   objective cost), requirement k ≥ 1. *)
 type candidate = { support : int list; forced_cost : float }
 
-let candidate_of_row m obj row =
+let candidate_of_row obj row =
   let unit_ge terms rhs =
     (* Σ x over [terms] ≥ rhs with every coefficient 1 *)
     if rhs < 0.5 then None
-    else if
-      List.for_all
-        (fun (x, a) ->
-          a = 1.
-          && Model.kind_of m x = Model.Boolean
-          && obj x >= 0.)
-        terms
+    else if List.for_all (fun (x, a) -> a = 1. && obj x >= 0.) terms
     then begin
       let k = int_of_float (Float.ceil (rhs -. 1e-9)) in
       let support = List.map fst terms in
@@ -48,7 +42,7 @@ let lower_bound m =
   let obj x = Lin_expr.coef obj_expr x in
   let candidates =
     List.filter_map
-      (fun row -> candidate_of_row m obj row)
+      (candidate_of_row obj)
       (Model.constraints m)
     |> List.filter (fun c -> c.forced_cost > 0.)
     |> List.sort (fun a b -> Float.compare b.forced_cost a.forced_cost)

@@ -1041,8 +1041,6 @@ let search st ~on_event ~log ~max_decisions ~time_limit ~lower_bound
 (* State construction and entry point                                  *)
 
 let build_state ?row_stats m =
-  if not (Model.is_pure_boolean m) then
-    invalid_arg "Pb_solver: model has non-Boolean variables";
   let nvars = Model.var_count m in
   (* each con remembers the model row (insertion index) it came from; an
      Eq row normalizes into two cons sharing one origin *)

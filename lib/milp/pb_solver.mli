@@ -76,5 +76,4 @@ val solve :
 
     [should_stop] (polled every few dozen search steps) requests a
     cooperative abort: the solve returns [Limit_reached] with the current
-    incumbent.
-    @raise Invalid_argument if the model has non-Boolean variables. *)
+    incumbent. *)

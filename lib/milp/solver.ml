@@ -65,8 +65,8 @@ let min_opt a b =
   | (Some _ as s), None | None, (Some _ as s) -> s
   | None, None -> None
 
-let solve ?(obs = Archex_obs.Ctx.null) ?on_event ?rows ?max_nodes ?time_limit
-    ?budget m =
+let solve ?(obs = Archex_obs.Ctx.null) ?on_event ?rows ?time_limit ?budget m
+    =
   (* clamp the per-call limits under what the global budget has left *)
   let module B = Archex_resilience.Budget in
   let time_limit =
@@ -74,11 +74,7 @@ let solve ?(obs = Archex_obs.Ctx.null) ?on_event ?rows ?max_nodes ?time_limit
     | None -> time_limit
     | Some b -> min_opt time_limit (B.remaining_time b)
   in
-  let max_nodes =
-    match budget with
-    | None -> max_nodes
-    | Some b -> min_opt max_nodes (B.remaining_nodes b)
-  in
+  let max_nodes = Option.bind budget B.remaining_nodes in
   (* cooperative cancellation: the budget's cancel hook becomes the
      search's [should_stop], polled inside its loop — a
      cancelled daemon job or a SIGINT winds the solve down mid-search

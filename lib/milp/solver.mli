@@ -25,17 +25,15 @@ val solve :
   ?obs:Archex_obs.Ctx.t ->
   ?on_event:(Archex_obs.Event.t -> unit) ->
   ?rows:Row_stats.t ->
-  ?max_nodes:int ->
   ?time_limit:float ->
   ?budget:Archex_resilience.Budget.t ->
   Model.t -> outcome * run_stats
 (** Minimize the model.  [time_limit] is wall-clock seconds
     ({!Archex_obs.Clock}; the caller's model is never mutated).
-    [max_nodes] caps decisions and conflicts alike.
 
-    [budget] (default none) clamps [time_limit] and [max_nodes] under the
-    global allowance: the call never runs past
-    {!Archex_resilience.Budget.remaining_time} or
+    [budget] (default none) clamps [time_limit] under the global
+    allowance and caps the search's decisions and conflicts alike: the
+    call never runs past {!Archex_resilience.Budget.remaining_time} or
     {!Archex_resilience.Budget.remaining_nodes}, the nodes it does spend
     are charged back, and an already-exhausted budget — or an injected
     [Solver_limit] fault ({!Archex_resilience.Faults}) — returns
@@ -56,8 +54,7 @@ val solve :
     incumbent updates).
 
     The {!Obj_bound} bound is also the search's [lower_bound]: it stops
-    at the first incumbent that meets it.
-    @raise Invalid_argument if the model has non-Boolean variables. *)
+    at the first incumbent that meets it. *)
 
 val solution_value : float array -> Model.var -> bool
 (** Convenience: read a 0-1 solution entry as a Boolean (≥ 0.5). *)
@@ -66,8 +63,7 @@ val pp_outcome : Format.formatter -> outcome -> unit
 
 val pp_run_stats : Format.formatter -> run_stats -> unit
 (** One-line human summary, e.g.
-    ["pb: 421 nodes, 1530 propagations, 37 conflicts, 0.004s"]
-    (mirrors {!Model.pp_stats}). *)
+    ["pb: 421 nodes, 1530 propagations, 37 conflicts, 0.004s"]. *)
 
 val run_stats_to_json : run_stats -> Archex_obs.Json.t
 (** Structured form of {!run_stats} for machine-readable reports. *)

@@ -193,153 +193,149 @@ let row_state free value row r =
 let leaf_bound = J.Obj [ ("leaf", J.Str "bound") ]
 
 let certify ?(node_budget = default_node_budget) m ~incumbent =
-  if not (Model.is_pure_boolean m) then
-    Error "only pure 0-1 models are certifiable"
-  else begin
-    let* () =
-      match incumbent with
-      | None -> Ok ()
-      | Some inc -> verify_incumbent m inc
+  let* () =
+    match incumbent with
+    | None -> Ok ()
+    | Some inc -> verify_incumbent m inc
+  in
+  let cm = compile m in
+  let nvars = Model.var_count m and nrows = Array.length cm.rows in
+  let value = Array.make nvars unassigned in
+  let free = Array.init nvars (fun x -> cm.lb.(x) < cm.ub.(x)) in
+  let gap =
+    match incumbent with Some (c, _) -> objective_gap cm c | None -> 0.
+  in
+  (* static branch order: objective weight descending, so the incumbent
+     bound engages as early as possible; row-forced variables override
+     it dynamically *)
+  let by_cost =
+    let coef = Array.make nvars 0. in
+    Array.iteri (fun k x -> coef.(x) <- cm.obj.coefs.(k)) cm.obj.vars;
+    List.init nvars Fun.id
+    |> List.filter (fun x -> free.(x))
+    |> List.sort (fun a b ->
+           Float.compare (Float.abs coef.(b)) (Float.abs coef.(a)))
+    |> Array.of_list
+  in
+  (* the rows each variable occurs in *)
+  let occ =
+    let acc = Array.make nvars [] in
+    for i = nrows - 1 downto 0 do
+      Array.iter (fun x -> acc.(x) <- i :: acc.(x)) cm.rows.(i).e.vars
+    done;
+    Array.map Array.of_list acc
+  in
+  (* A row's state depends on its own variables only, so setting or
+     unsetting [x] recomputes the rows in [occ.(x)] — from scratch, in
+     term order, so every range is the same float as a full rescan's. *)
+  let r = { lo = 0.; hi = 0. } in
+  let state =
+    Array.init nrows (fun i -> row_state free value cm.rows.(i) r)
+  in
+  let assign x v =
+    value.(x) <- v;
+    let rows = occ.(x) in
+    for k = 0 to Array.length rows - 1 do
+      let i = rows.(k) in
+      state.(i) <- row_state free value cm.rows.(i) r
+    done
+  in
+  (* the first infeasible row, or failing that the first row's forced
+     variable *)
+  let rec scan i forced =
+    if i = nrows then if forced >= 0 then `Forced forced else `Open
+    else
+      let s = state.(i) in
+      if s = row_infeasible then `Infeasible i
+      else scan (i + 1) (if forced < 0 then s else forced)
+  in
+  (* tree pieces are immutable, so every node shares them *)
+  let leaves =
+    Array.init nrows (fun i ->
+        J.Obj
+          [ ("leaf", J.Str "infeasible"); ("row", J.Num (float_of_int i)) ])
+  in
+  let var_fields =
+    Array.init nvars (fun x -> ("var", J.Num (float_of_int x)))
+  in
+  let branch x zero one =
+    J.Obj [ var_fields.(x); ("zero", zero); ("one", one) ]
+  in
+  let nodes = ref 0 in
+  let pick_static () =
+    let n = Array.length by_cost in
+    let rec go i =
+      if i >= n then None
+      else begin
+        let x = by_cost.(i) in
+        if is_assigned value.(x) then go (i + 1) else Some x
+      end
     in
-    let cm = compile m in
-    let nvars = Model.var_count m and nrows = Array.length cm.rows in
-    let value = Array.make nvars unassigned in
-    let free = Array.init nvars (fun x -> cm.lb.(x) < cm.ub.(x)) in
-    let gap =
-      match incumbent with Some (c, _) -> objective_gap cm c | None -> 0.
-    in
-    (* static branch order: objective weight descending, so the incumbent
-       bound engages as early as possible; row-forced variables override
-       it dynamically *)
-    let by_cost =
-      let coef = Array.make nvars 0. in
-      Array.iteri (fun k x -> coef.(x) <- cm.obj.coefs.(k)) cm.obj.vars;
-      List.init nvars Fun.id
-      |> List.filter (fun x -> free.(x))
-      |> List.sort (fun a b ->
-             Float.compare (Float.abs coef.(b)) (Float.abs coef.(a)))
-      |> Array.of_list
-    in
-    (* the rows each variable occurs in *)
-    let occ =
-      let acc = Array.make nvars [] in
-      for i = nrows - 1 downto 0 do
-        Array.iter (fun x -> acc.(x) <- i :: acc.(x)) cm.rows.(i).e.vars
-      done;
-      Array.map Array.of_list acc
-    in
-    (* A row's state depends on its own variables only, so setting or
-       unsetting [x] recomputes the rows in [occ.(x)] — from scratch, in
-       term order, so every range is the same float as a full rescan's. *)
-    let r = { lo = 0.; hi = 0. } in
-    let state =
-      Array.init nrows (fun i -> row_state free value cm.rows.(i) r)
-    in
-    let assign x v =
-      value.(x) <- v;
-      let rows = occ.(x) in
-      for k = 0 to Array.length rows - 1 do
-        let i = rows.(k) in
-        state.(i) <- row_state free value cm.rows.(i) r
-      done
-    in
-    (* the first infeasible row, or failing that the first row's forced
-       variable *)
-    let rec scan i forced =
-      if i = nrows then if forced >= 0 then `Forced forced else `Open
-      else
-        let s = state.(i) in
-        if s = row_infeasible then `Infeasible i
-        else scan (i + 1) (if forced < 0 then s else forced)
-    in
-    (* tree pieces are immutable, so every node shares them *)
-    let leaves =
-      Array.init nrows (fun i ->
-          J.Obj
-            [ ("leaf", J.Str "infeasible"); ("row", J.Num (float_of_int i)) ])
-    in
-    let var_fields =
-      Array.init nvars (fun x -> ("var", J.Num (float_of_int x)))
-    in
-    let branch x zero one =
-      J.Obj [ var_fields.(x); ("zero", zero); ("one", one) ]
-    in
-    let nodes = ref 0 in
-    let pick_static () =
-      let n = Array.length by_cost in
-      let rec go i =
-        if i >= n then None
-        else begin
-          let x = by_cost.(i) in
-          if is_assigned value.(x) then go (i + 1) else Some x
-        end
-      in
-      go 0
-    in
-    let rec dfs () =
-      incr nodes;
-      if !nodes > node_budget then
-        raise
-          (Cert_error
-             (Printf.sprintf "node budget exceeded (%d nodes)" node_budget));
-      match scan 0 (-1) with
-      | `Infeasible i -> leaves.(i)
-      | (`Forced _ | `Open) as s -> (
-          let bounded =
-            match incumbent with
-            | Some (c, _) -> min_objective cm value r >= c -. gap
-            | None -> false
-          in
-          if bounded then leaf_bound
-          else
-            let x =
-              match s with `Forced x -> Some x | `Open -> pick_static ()
-            in
-            match x with
-            | Some x ->
-                assign x 0.;
-                let zero = dfs () in
-                assign x 1.;
-                let one = dfs () in
-                assign x unassigned;
-                branch x zero one
-            | None ->
-                (* complete feasible assignment that neither an infeasible
-                   row nor the incumbent bound excludes: the claim fails *)
-                raise
-                  (Cert_error
-                     (match incumbent with
-                     | Some (c, _) ->
-                         Printf.sprintf
-                           "found a feasible solution with objective %g, \
-                            better than the incumbent %g — solver result \
-                            is not optimal"
-                           (min_objective cm value r) c
-                     | None -> "model is feasible but was claimed infeasible")))
-    in
-    match dfs () with
-    | exception Cert_error e -> Error e
-    | tree ->
-        let incumbent_json =
+    go 0
+  in
+  let rec dfs () =
+    incr nodes;
+    if !nodes > node_budget then
+      raise
+        (Cert_error
+           (Printf.sprintf "node budget exceeded (%d nodes)" node_budget));
+    match scan 0 (-1) with
+    | `Infeasible i -> leaves.(i)
+    | (`Forced _ | `Open) as s -> (
+        let bounded =
           match incumbent with
-          | None -> []
-          | Some (c, sol) ->
-              [ ( "incumbent",
-                  J.Obj
-                    [ ("objective", J.Num c);
-                      ( "solution",
-                        J.Arr
-                          (Array.to_list (Array.map (fun v -> J.Num v) sol))
-                      ) ] ) ]
+          | Some (c, _) -> min_objective cm value r >= c -. gap
+          | None -> false
         in
-        Ok
-          (J.Obj
-             ([ ("format", J.Str "archex-cert");
-                ("version", J.Num 1.);
-                ("model", Model.to_json m) ]
-             @ incumbent_json
-             @ [ ("nodes", J.Num (float_of_int !nodes)); ("tree", tree) ]))
-  end
+        if bounded then leaf_bound
+        else
+          let x =
+            match s with `Forced x -> Some x | `Open -> pick_static ()
+          in
+          match x with
+          | Some x ->
+              assign x 0.;
+              let zero = dfs () in
+              assign x 1.;
+              let one = dfs () in
+              assign x unassigned;
+              branch x zero one
+          | None ->
+              (* complete feasible assignment that neither an infeasible
+                 row nor the incumbent bound excludes: the claim fails *)
+              raise
+                (Cert_error
+                   (match incumbent with
+                   | Some (c, _) ->
+                       Printf.sprintf
+                         "found a feasible solution with objective %g, \
+                          better than the incumbent %g — solver result \
+                          is not optimal"
+                         (min_objective cm value r) c
+                   | None -> "model is feasible but was claimed infeasible")))
+  in
+  match dfs () with
+  | exception Cert_error e -> Error e
+  | tree ->
+      let incumbent_json =
+        match incumbent with
+        | None -> []
+        | Some (c, sol) ->
+            [ ( "incumbent",
+                J.Obj
+                  [ ("objective", J.Num c);
+                    ( "solution",
+                      J.Arr
+                        (Array.to_list (Array.map (fun v -> J.Num v) sol))
+                    ) ] ) ]
+      in
+      Ok
+        (J.Obj
+           ([ ("format", J.Str "archex-cert");
+              ("version", J.Num 1.);
+              ("model", Model.to_json m) ]
+           @ incumbent_json
+           @ [ ("nodes", J.Num (float_of_int !nodes)); ("tree", tree) ]))
 
 (* ------------------------------------------------------------------ *)
 (* Checker                                                             *)
@@ -464,9 +460,6 @@ let check cert =
         if x < 0 || x >= nvars then
           errf "%s: variable index %d out of range (%d vars)" (at rev_tags) x
             nvars
-        else if Model.kind_of m x <> Model.Boolean then
-          errf "%s: branch on non-Boolean variable %s" (at rev_tags)
-            (Model.name_of m x)
         else if is_assigned value.(x) then
           errf "%s: branches twice on variable %s" (at rev_tags)
             (Model.name_of m x)

@@ -40,12 +40,12 @@ val certify :
   Milp.Model.t ->
   incumbent:(float * float array) option ->
   (Archex_obs.Json.t, string) result
-(** Re-prove a solver result on a pure 0-1 model: verifies the incumbent
+(** Re-prove a solver result on a 0-1 model: verifies the incumbent
     (feasibility + objective) arithmetically, then runs a transparent DFS
     that closes the entire search space, recording the pruning tree.
     [incumbent = None] asks for an infeasibility certificate.
 
-    Errors: non-Boolean model, infeasible or mis-priced incumbent, a
+    Errors: infeasible or mis-priced incumbent, a
     feasible solution strictly better than the incumbent (i.e. the solver
     result was wrong), or the node budget running out. *)
 
@@ -63,7 +63,7 @@ val check : Archex_obs.Json.t -> (summary, string) result
     the incumbent, and replay every tree node — each bound leaf against
     the minimum achievable objective, each infeasible leaf against the
     named row's achievable range, each branch for well-formedness (known
-    Boolean variable, not branched twice).  Errors name the failing tree
+    variable, not branched twice).  Errors name the failing tree
     path (e.g. [tree.one.zero: bound leaf not justified — ...]). *)
 
 (** {1 ILP-MR chains}

@@ -93,15 +93,14 @@ let run ?obs ?on_event ~budget (job : Protocol.job) =
       match job.Protocol.op with
       | Protocol.Mr -> (
           match
-            Archex.Ilp_mr.run_checked ?obs ?on_event ~budget
-              ~jobs:job.Protocol.jobs template ~r_star:job.Protocol.r_star
+            Archex.Ilp_mr.run ?obs ?on_event ~budget ~jobs:job.Protocol.jobs
+              template ~r_star:job.Protocol.r_star
           with
-          | Error e -> failed e
-          | Ok (Archex.Synthesis.Synthesized (arch, trace, _)) ->
+          | Archex.Synthesis.Synthesized (arch, trace, _) ->
               of_architecture ?obs ~budget
                 ~iterations:(Some (List.length trace))
                 template arch
-          | Ok (Archex.Synthesis.Unfeasible (reason, trace, _)) ->
+          | Archex.Synthesis.Unfeasible (reason, trace, _) ->
               of_unfeasible reason (Some (List.length trace)))
       | Protocol.Ar -> (
           match

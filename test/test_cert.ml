@@ -342,11 +342,10 @@ let test_chain_roundtrip_and_tamper () =
 
 let test_mr_chain_end_to_end () =
   let inst = Eps.Eps_template.base () in
-  let enc, result =
-    Archex.Ilp_mr.run_with_encoding ~certify:true
-      inst.Eps.Eps_template.template ~r_star:2e-4
-  in
-  match result with
+  match
+    Archex.Ilp_mr.run ~certify:true inst.Eps.Eps_template.template
+      ~r_star:2e-4
+  with
   | Archex.Synthesis.Unfeasible _ -> Alcotest.fail "smoke instance unfeasible"
   | Archex.Synthesis.Synthesized (_, trace, _) -> (
       checkb "at least one iteration" true (trace <> []);
@@ -373,7 +372,7 @@ let test_mr_chain_end_to_end () =
               let md =
                 Explain.markdown
                   ~learned:[]
-                  ~model:(Archex.Gen_ilp.model enc)
+                  ~model:last.Archex.Ilp_mr.model
                   ~solution:last.Archex.Ilp_mr.solution ()
               in
               checkb "explanation mentions cost attribution" true
@@ -412,6 +411,32 @@ let test_mr_known_answer () =
           check_int "iterations" 4 s.Cert.iterations;
           check_int "total tree nodes" 1464 s.Cert.total_tree_nodes;
           checkb "final objective" true (s.Cert.final_objective = Some 18012.))
+
+(* Each iteration keeps the model it solved: its certificate embeds that
+   model.  Checked after the run, so later learning must not have
+   reached back into an earlier iteration's copy. *)
+let test_mr_iteration_models () =
+  let inst = Eps.Eps_template.make ~generators:2 in
+  match
+    Archex.Ilp_mr.run ~certify:true inst.Eps.Eps_template.template
+      ~r_star:1e-4
+  with
+  | Archex.Synthesis.Unfeasible _ -> Alcotest.fail "g=2 unfeasible"
+  | Archex.Synthesis.Synthesized (_, trace, _) ->
+      checkb "several iterations" true (List.length trace > 1);
+      List.iter
+        (fun it ->
+          match it.Archex.Ilp_mr.cert with
+          | Some (Ok c) ->
+              checkb
+                (Printf.sprintf "iteration %d certifies its own model"
+                   it.Archex.Ilp_mr.index)
+                true
+                (Json.equal (get_field c "model")
+                   (Model.to_json it.Archex.Ilp_mr.model))
+          | Some (Error e) -> Alcotest.failf "certify failed: %s" e
+          | None -> Alcotest.fail "iteration without certificate")
+        trace
 
 (* ILP-AR's monolithic model has real-coefficient rows. *)
 let test_ar_known_answer () =
@@ -565,7 +590,9 @@ let () =
       ( "ilp-mr",
         [ Alcotest.test_case "certified run end to end" `Quick
             test_mr_chain_end_to_end;
-          Alcotest.test_case "known answer g=2" `Quick test_mr_known_answer ]
+          Alcotest.test_case "known answer g=2" `Quick test_mr_known_answer;
+          Alcotest.test_case "iteration models are the certified ones"
+            `Quick test_mr_iteration_models ]
       );
       ( "ilp-ar",
         [ Alcotest.test_case "known answer g=2" `Quick test_ar_known_answer ]

@@ -71,8 +71,9 @@ let test_minimal_solve_matches_eq1 () =
   let t = small_template () in
   let enc = Archex.Gen_ilp.encode t in
   match Archex.Gen_ilp.solve enc with
-  | None -> Alcotest.fail "feasible template reported infeasible"
-  | Some (config, cost, _) ->
+  | Archex.Gen_ilp.No_solution _ | Archex.Gen_ilp.Exhausted _ ->
+      Alcotest.fail "feasible template reported infeasible"
+  | Archex.Gen_ilp.Solved { config; objective = cost; _ } ->
       (* minimal: one source (5) + one middle (20) + sink + 2 switches (4) *)
       checkf 1e-9 "objective = 29" 29. cost;
       checkf 1e-9 "objective equals Eq. 1 on the configuration" cost
@@ -89,8 +90,9 @@ let test_objective_matches_config_cost_always () =
   Model.fix model (Archex.Gen_ilp.edge_var enc 1 3) 1.;
   Model.fix model (Archex.Gen_ilp.edge_var enc 3 5) 1.;
   match Archex.Gen_ilp.solve enc with
-  | None -> Alcotest.fail "infeasible"
-  | Some (config, cost, _) ->
+  | Archex.Gen_ilp.No_solution _ | Archex.Gen_ilp.Exhausted _ ->
+      Alcotest.fail "infeasible"
+  | Archex.Gen_ilp.Solved { config; objective = cost; _ } ->
       checkf 1e-9 "Eq. 1 consistency" cost
         (Template.configuration_cost t config)
 
@@ -160,14 +162,16 @@ let test_reach_var_semantics () =
   Model.fix model (Archex.Gen_ilp.edge_var enc 0 2) 1.;
   Model.fix model (Archex.Gen_ilp.edge_var enc 2 5) 1.;
   (match Archex.Gen_ilp.solve enc with
-  | Some (config, _, _) ->
+  | Archex.Gen_ilp.Solved { config; _ } ->
       checkb "config has the walk" true (Digraph.exists_path config 0 5)
-  | None -> Alcotest.fail "infeasible");
+  | Archex.Gen_ilp.No_solution _ | Archex.Gen_ilp.Exhausted _ ->
+      Alcotest.fail "infeasible");
   (* now require reach_s1 = 0 while the edges force it = 1: infeasible *)
   Model.fix model reach_s1 0.;
   match Archex.Gen_ilp.solve enc with
-  | None -> ()
-  | Some _ -> Alcotest.fail "reach indicator failed to track the walk"
+  | Archex.Gen_ilp.No_solution _ -> ()
+  | Archex.Gen_ilp.Solved _ | Archex.Gen_ilp.Exhausted _ ->
+      Alcotest.fail "reach indicator failed to track the walk"
 
 let test_source_connection_var_semantics () =
   let t = small_template () in
@@ -191,8 +195,9 @@ let test_source_connection_var_semantics () =
       Milp.Model.fix model (Archex.Gen_ilp.edge_var enc 0 2) 0.;
       Milp.Model.fix model (Archex.Gen_ilp.edge_var enc 1 2) 0.;
       (match Archex.Gen_ilp.solve enc with
-      | None -> ()
-      | Some _ -> Alcotest.fail "src indicator must track feeds")
+      | Archex.Gen_ilp.No_solution _ -> ()
+      | Archex.Gen_ilp.Solved _ | Archex.Gen_ilp.Exhausted _ ->
+          Alcotest.fail "src indicator must track feeds")
   | None -> Alcotest.fail "middle node reachable at depth 1"
 
 let test_learn_adds_constraints_and_saturates () =

@@ -92,8 +92,9 @@ let test_minimal_architecture_matches_fig2a () =
   let t = inst.Eps.Eps_template.template in
   let enc = Archex.Gen_ilp.encode t in
   match Archex.Gen_ilp.solve enc with
-  | None -> Alcotest.fail "base template must be feasible"
-  | Some (config, cost, _) ->
+  | Archex.Gen_ilp.No_solution _ | Archex.Gen_ilp.Exhausted _ ->
+      Alcotest.fail "base template must be feasible"
+  | Archex.Gen_ilp.Solved { config; objective = cost; _ } ->
       (* LG1 (7) + 1 AC bus + 1 TRU + 1 DC bus (3 × 2000) + 7 contactors *)
       checkf 1e-6 "minimal cost" 13007. cost;
       let report = Archex.Rel_analysis.analyze t config in
@@ -109,8 +110,9 @@ let test_loads_must_be_powered () =
   let t = inst.Eps.Eps_template.template in
   let enc = Archex.Gen_ilp.encode t in
   match Archex.Gen_ilp.solve enc with
-  | None -> Alcotest.fail "infeasible"
-  | Some (config, _, _) ->
+  | Archex.Gen_ilp.No_solution _ | Archex.Gen_ilp.Exhausted _ ->
+      Alcotest.fail "infeasible"
+  | Archex.Gen_ilp.Solved { config; _ } ->
       Array.iter
         (fun l ->
           checkb "load has a DC feed" true (Digraph.in_degree config l >= 1))
@@ -121,8 +123,9 @@ let test_rectifier_single_ac_feed () =
   let t = inst.Eps.Eps_template.template in
   let enc = Archex.Gen_ilp.encode t in
   match Archex.Gen_ilp.solve enc with
-  | None -> Alcotest.fail "infeasible"
-  | Some (config, _, _) ->
+  | Archex.Gen_ilp.No_solution _ | Archex.Gen_ilp.Exhausted _ ->
+      Alcotest.fail "infeasible"
+  | Archex.Gen_ilp.Solved { config; _ } ->
       Array.iter
         (fun r ->
           checkb "at most one AC bus feeds a rectifier" true
@@ -134,8 +137,9 @@ let test_diagram_renders () =
   let t = inst.Eps.Eps_template.template in
   let enc = Archex.Gen_ilp.encode t in
   match Archex.Gen_ilp.solve enc with
-  | None -> Alcotest.fail "infeasible"
-  | Some (config, _, _) ->
+  | Archex.Gen_ilp.No_solution _ | Archex.Gen_ilp.Exhausted _ ->
+      Alcotest.fail "infeasible"
+  | Archex.Gen_ilp.Solved { config; _ } ->
       let text = Eps.Eps_diagram.render inst config in
       let starts_with prefix line =
         String.length line >= String.length prefix

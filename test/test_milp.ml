@@ -71,19 +71,18 @@ let prop_expr_add_commutes =
 let test_model_vars_bounds () =
   let m = Model.create () in
   let x = Model.bool_var ~name:"x" m in
-  let y = Model.add_var m (Model.Integer (-2, 5)) in
-  let z = Model.add_var m (Model.Continuous (0., 10.)) in
-  check_int "count" 3 (Model.var_count m);
+  let y = Model.bool_var m in
+  check_int "count" 2 (Model.var_count m);
   Alcotest.(check string) "name" "x" (Model.name_of m x);
-  checkf "int lb" (-2.) (Model.lower_bound m y);
-  checkf "cont ub" 10. (Model.upper_bound m z);
-  checkb "not pure boolean" false (Model.is_pure_boolean m);
+  Alcotest.(check string) "default name" "x1" (Model.name_of m y);
+  checkf "lb" 0. (Model.lower_bound m y);
+  checkf "ub" 1. (Model.upper_bound m y);
   Model.fix m x 1.;
   checkf "fixed lb" 1. (Model.lower_bound m x);
   (match Model.fix m x 0. with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "fix outside narrowed bounds must fail");
-  match Model.fix m y 2.5 with
+  match Model.fix m y 0.5 with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "non-integral fix must fail"
 
@@ -107,6 +106,34 @@ let test_model_copy_isolation () =
   Model.add_constraint m' (Lin_expr.var x) Model.Le 0.;
   checkf "original bounds untouched" 0. (Model.lower_bound m x);
   check_int "original rows untouched" 0 (Model.constraint_count m)
+
+(* Certificates embed models as JSON: a 0-1 variable round-trips as
+   {"kind": "bool"}, and any other kind is refused. *)
+let test_model_json_kinds () =
+  let module J = Archex_obs.Json in
+  let m = Model.create () in
+  let x = Model.bool_var ~name:"x" m in
+  Model.fix m x 1.;
+  let j = Model.to_json m in
+  (match Model.of_json j with
+  | Ok m' ->
+      checkb "round trip" true (J.equal (Model.to_json m') j);
+      checkf "fixed lb kept" 1. (Model.lower_bound m' x)
+  | Error e -> Alcotest.failf "round trip rejected: %s" e);
+  let with_kind kind =
+    J.Obj
+      [ ( "vars",
+          J.Arr [ J.Obj [ ("kind", kind); ("lb", J.Num 0.); ("ub", J.Num 3.) ] ]
+        );
+        ("objective", J.Obj [ ("terms", J.Arr []) ]);
+        ("rows", J.Arr []) ]
+  in
+  checkb "int kind rejected" true
+    (Result.is_error
+       (Model.of_json
+          (with_kind (J.Obj [ ("int", J.Arr [ J.Num 0.; J.Num 3. ]) ]))));
+  checkb "bool over [0, 3] rejected" true
+    (Result.is_error (Model.of_json (with_kind (J.Str "bool"))))
 
 let test_boolean_clause () =
   let m = Model.create () in
@@ -194,36 +221,22 @@ let test_count_channel () =
 
 let test_implication_encodings () =
   let m = Model.create () in
-  let a = Model.bool_var m and b = Model.bool_var m in
-  Bool_encode.implies m a b;
-  let value a' b' v = if v = a then a' else b' in
-  checkb "1→0 violated" false (Model.is_feasible m (value 1. 0.));
-  checkb "1→1 ok" true (Model.is_feasible m (value 1. 1.));
-  checkb "0→0 ok" true (Model.is_feasible m (value 0. 0.))
+  let a = Model.bool_var m and b = Model.bool_var m and c = Model.bool_var m in
+  Bool_encode.implies_or m a [ b; c ];
+  let value a' b' c' v = if v = a then a' else if v = b then b' else c' in
+  checkb "1→0∨0 violated" false (Model.is_feasible m (value 1. 0. 0.));
+  checkb "1→1∨0 ok" true (Model.is_feasible m (value 1. 1. 0.));
+  checkb "1→0∨1 ok" true (Model.is_feasible m (value 1. 0. 1.));
+  checkb "0→0∨0 ok" true (Model.is_feasible m (value 0. 0. 0.))
 
 let test_cardinality () =
   let m = Model.create () in
   let xs = Array.to_list (Model.bool_vars m 4) in
-  Bool_encode.at_most_k m xs 2;
-  Bool_encode.at_least_k m xs 1;
+  Bool_encode.at_least_k m xs 2;
   let assign n v = if v < n then 1. else 0. in
-  checkb "0 chosen violates at-least" false (Model.is_feasible m (assign 0));
+  checkb "1 chosen violates at-least" false (Model.is_feasible m (assign 1));
   checkb "2 chosen ok" true (Model.is_feasible m (assign 2));
-  checkb "3 chosen violates at-most" false (Model.is_feasible m (assign 3))
-
-let test_indicators () =
-  let m = Model.create () in
-  let x = Model.add_var m (Model.Continuous (0., 10.)) in
-  let y = Bool_encode.ge_indicator m (Lin_expr.var x) 5. ~big_m:10. in
-  (* y = 1 → x ≥ 5 *)
-  let value xv yv v = if v = x then xv else if v = y then yv else 0. in
-  checkb "y=1, x=6 ok" true (Model.is_feasible m (value 6. 1.));
-  checkb "y=1, x=2 violated" false (Model.is_feasible m (value 2. 1.));
-  checkb "y=0, x=2 ok" true (Model.is_feasible m (value 2. 0.));
-  let z = Bool_encode.le_indicator m (Lin_expr.var x) 5. ~big_m:10. in
-  let value2 xv zv v = if v = x then xv else if v = z then zv else 0. in
-  checkb "z=1, x=2 ok" true (Model.is_feasible m (value2 2. 1.));
-  checkb "z=1, x=8 violated" false (Model.is_feasible m (value2 8. 1.))
+  checkb "4 chosen ok" true (Model.is_feasible m (assign 4))
 
 (* ------------------------------------------------------------------ *)
 (* PB search against brute force                                      *)
@@ -394,7 +407,9 @@ let test_negative_objective_coefficients () =
 let test_equality_row_propagation () =
   let m = Model.create () in
   let xs = Model.bool_vars m 3 in
-  Bool_encode.exactly_k m (Array.to_list xs) 3;
+  Model.add_constraint m
+    (Lin_expr.of_terms (Array.to_list (Array.map (fun x -> (x, 1.)) xs)))
+    Model.Eq 3.;
   Model.set_objective m
     (Lin_expr.of_terms (Array.to_list (Array.map (fun x -> (x, 1.)) xs)));
   match Solver.solve m with
@@ -507,7 +522,9 @@ let test_time_limit_returns () =
   Model.set_objective m
     (Lin_expr.of_terms
        (Array.to_list (Array.mapi (fun i x -> (x, float_of_int (1 + (i mod 13)))) xs)));
-  match Solver.solve ~max_nodes:50 m with
+  match
+    Solver.solve ~budget:(Archex_resilience.Budget.create ~max_nodes:50 ()) m
+  with
   | Solver.Limit_reached _, _ | Solver.Optimal _, _ | Solver.Infeasible, _ ->
       ()
 
@@ -605,7 +622,8 @@ let test_var_heap_rescale_keeps_order () =
 let test_lp_format_mentions_everything () =
   let m = Model.create () in
   let x = Model.bool_var ~name:"pick me" m in
-  let y = Model.add_var ~name:"level" m (Model.Integer (0, 3)) in
+  let y = Model.bool_var ~name:"level" m in
+  Model.fix m y 1.;
   Model.add_constraint ~name:"cap" m Lin_expr.(add (var x) (var y)) Model.Le
     2.;
   Model.set_objective m (Lin_expr.var x);
@@ -613,8 +631,12 @@ let test_lp_format_mentions_everything () =
   checkb "has Minimize" true (String.length text > 0);
   checkb "mentions Binary" true
     (String.split_on_char '\n' text |> List.exists (fun l -> l = "Binary"));
-  checkb "mentions General" true
-    (String.split_on_char '\n' text |> List.exists (fun l -> l = "General"));
+  checkb "fixed variable bounded" true
+    (String.split_on_char '\n' text
+    |> List.exists (fun l -> l = " 1 <= level_1 <= 1"));
+  checkb "free variable not bounded" false
+    (String.split_on_char '\n' text
+    |> List.exists (fun l -> l = " 0 <= pick_me_0 <= 1"));
   checkb "sanitized name" true
     (String.split_on_char '\n' text
     |> List.exists (fun l ->
@@ -636,14 +658,14 @@ let () =
           quick "constraints and feasibility"
             test_model_constraints_and_feasibility;
           quick "copy isolation" test_model_copy_isolation;
+          quick "json rejects non-0-1 kinds" test_model_json_kinds;
           quick "boolean clause" test_boolean_clause ] );
       ( "bool_encode",
         [ quick "or" test_or_encoding;
           quick "and" test_and_encoding;
           quick "count channel (Eqs. 10-11)" test_count_channel;
           quick "implication" test_implication_encodings;
-          quick "cardinality" test_cardinality;
-          quick "big-M indicators" test_indicators ] );
+          quick "cardinality" test_cardinality ] );
       ( "backends",
         [ prop prop_pb_agrees_with_brute;
           prop prop_optimal_solution_is_feasible;

@@ -274,18 +274,6 @@ let test_validate_all_collects_everything () =
       checkb "collects requirement reference" true (has "non-candidate");
       checkb "at least five violations" true (List.length violations >= 5)
 
-let test_run_checked_rejects_invalid_input () =
-  let bad =
-    { Component.name = "B"; type_id = 0; cost = -1.; fail_prob = 2.;
-      capacity = 0. }
-  in
-  let t = Template.create [| bad |] in
-  match Archex.Ilp_mr.run_checked t ~r_star:0.1 with
-  | Error (Error.Invalid_input violations) ->
-      checkb "all violations reported" true (List.length violations >= 2)
-  | Error e -> Alcotest.failf "wrong error: %s" (Error.to_string e)
-  | Ok _ -> Alcotest.fail "invalid template accepted"
-
 (* ------------------------------------------------------------------ *)
 (* Silent truncation: exhaustion is never infeasibility                *)
 
@@ -309,7 +297,8 @@ let test_solver_limit_keeps_bound_pb () =
   let t = small_template () in
   let enc = Archex.Gen_ilp.encode t in
   match
-    Milp.Solver.solve ~max_nodes:1 (Archex.Gen_ilp.model enc)
+    Milp.Solver.solve ~budget:(Budget.create ~max_nodes:1 ())
+      (Archex.Gen_ilp.model enc)
   with
   | Milp.Solver.Limit_reached _, stats -> (
       match stats.Milp.Solver.best_bound with
@@ -326,7 +315,7 @@ let test_gen_ilp_types_the_outcomes () =
   let enc = Archex.Gen_ilp.encode t in
   let budget = Budget.create ~max_nodes:1 () in
   Budget.charge_nodes budget 1;
-  (match Archex.Gen_ilp.solve_checked ~budget enc with
+  (match Archex.Gen_ilp.solve ~budget enc with
   | Archex.Gen_ilp.Exhausted { error; _ } ->
       checkb "exhaustion typed" true (Error.is_budget error)
   | Archex.Gen_ilp.No_solution _ ->
@@ -339,7 +328,7 @@ let test_gen_ilp_types_the_outcomes () =
   Template.add_requirement t2 (Requirement.forbid_edge 3 5);
   Template.add_requirement t2 (Requirement.forbid_edge 4 5);
   let enc2 = Archex.Gen_ilp.encode t2 in
-  match Archex.Gen_ilp.solve_checked enc2 with
+  match Archex.Gen_ilp.solve enc2 with
   | Archex.Gen_ilp.No_solution _ -> ()
   | _ -> Alcotest.fail "expected a proof of infeasibility"
 
@@ -463,13 +452,34 @@ let test_kill_and_resume_any_boundary () =
         Archex.Checkpoint.iterations = take k ck.Archex.Checkpoint.iterations
       }
     in
-    let resumed = Archex.Ilp_mr.resume (small_template ()) ~from:prefix in
+    let resumed =
+      Archex.Ilp_mr.run ~resume_from:prefix (small_template ())
+        ~r_star:prefix.Archex.Checkpoint.r_star
+    in
     let cost', edges', n' = arch_signature resumed in
     checkf 1e-9 (Printf.sprintf "cost after resume at %d" k) cost cost';
     checkb (Printf.sprintf "edges after resume at %d" k) true (edges = edges');
     check_int (Printf.sprintf "iteration count after resume at %d" k) n n'
   done;
   Sys.remove path
+
+(* A checkpoint replays only against its own r*: any other target would
+   replay learning decisions that target never made. *)
+let test_resume_rejects_other_r_star () =
+  let path = tmp_path "resume-r-star" in
+  ignore (Archex.Ilp_mr.run ~checkpoint:path (small_template ()) ~r_star:0.05);
+  let ck =
+    match Archex.Checkpoint.load path with
+    | Ok ck -> ck
+    | Error e -> Alcotest.failf "load: %s" e
+  in
+  Sys.remove path;
+  match
+    Archex.Ilp_mr.run ~resume_from:ck (small_template ())
+      ~r_star:(2. *. ck.Archex.Checkpoint.r_star)
+  with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "replayed a checkpoint against another r*"
 
 (* Checkpoints written while the solver still had several backends carry
    a "backend" name, "lp-bb" included.  Such a file must still load, and
@@ -502,7 +512,9 @@ let test_checkpoint_legacy_backend_key () =
   | Error e -> Alcotest.failf "legacy checkpoint rejected: %s" e
   | Ok from ->
       let cost', edges', n' =
-        arch_signature (Archex.Ilp_mr.resume (small_template ()) ~from)
+        arch_signature
+          (Archex.Ilp_mr.run ~resume_from:from (small_template ())
+             ~r_star:from.Archex.Checkpoint.r_star)
       in
       checkf 1e-9 "cost after resume" cost cost';
       checkb "edges after resume" true (edges = edges');
@@ -528,7 +540,8 @@ let test_resumed_run_certifies () =
         List.filteri (fun i _ -> i < n - 1) ck.Archex.Checkpoint.iterations }
   in
   (match
-     Archex.Ilp_mr.resume ~certify:true (small_template ()) ~from:prefix
+     Archex.Ilp_mr.run ~certify:true ~resume_from:prefix (small_template ())
+       ~r_star:prefix.Archex.Checkpoint.r_star
    with
   | Archex.Synthesis.Synthesized (_, trace, _) -> (
       match Archex.Ilp_mr.certificate_of_trace ~r_star:0.05 trace with
@@ -589,9 +602,7 @@ let () =
         [ Alcotest.test_case "component violations" `Quick
             test_component_violations;
           Alcotest.test_case "validate_all collects everything" `Quick
-            test_validate_all_collects_everything;
-          Alcotest.test_case "run_checked rejects invalid input" `Quick
-            test_run_checked_rejects_invalid_input ] );
+            test_validate_all_collects_everything ] );
       ( "truncation",
         [ Alcotest.test_case "exhaustion is not infeasibility" `Quick
             test_exhaustion_is_not_infeasibility;
@@ -608,6 +619,8 @@ let () =
         [ Alcotest.test_case "round trip" `Quick test_checkpoint_roundtrip;
           Alcotest.test_case "kill and resume at any boundary" `Quick
             test_kill_and_resume_any_boundary;
+          Alcotest.test_case "resume rejects another r*" `Quick
+            test_resume_rejects_other_r_star;
           Alcotest.test_case "resumed run certifies" `Quick
             test_resumed_run_certifies;
           Alcotest.test_case "legacy backend key loads" `Quick

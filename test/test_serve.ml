@@ -462,10 +462,10 @@ let test_serve_matches_direct_run () =
   let inst = Eps.Eps_template.base () in
   let direct =
     match
-      Archex.Ilp_mr.run_checked ~budget:Budget.unlimited ~jobs:1
+      Archex.Ilp_mr.run ~budget:Budget.unlimited ~jobs:1
         inst.Eps.Eps_template.template ~r_star
     with
-    | Ok (Archex.Synthesis.Synthesized (arch, _, _)) -> arch
+    | Archex.Synthesis.Synthesized (arch, _, _) -> arch
     | _ -> Alcotest.fail "direct run must synthesize"
   in
   (* the same job through the full daemon loop (pipe transport) *)
