@@ -36,23 +36,16 @@ type iteration = {
   learned_rows : Archex_obs.Json.t list;
       (** provenance of the constraints this iteration's analysis added
           ({!Learn_cons.drain_learned}); empty on convergence *)
-  insight : Archex_obs.Json.t option;
+  insight : Archex_inspect.insight option;
       (** search-effectiveness record of this iteration's solve, present
           only on inspected runs ([?inspect]) and [None] for replayed
-          iterations.  One object with: [rows_total] / [rows_carried] /
-          [rows_learned] (model rows at solve time, rows shared with the
-          previous iteration's model, rows the analysis appended),
-          [redundancy_ratio] (carried/total, [null] on the first
-          iteration), [decisions_captured] and [prefix_overlap] (longest
-          common decision-prefix with the previous solve, over the first
-          512 decisions), the running [warm_start_potential] score (mean
-          of redundancy and overlap means), and [activity] — one row per
-          model constraint with nonzero solver activity: its stable id
-          ([row], the insertion index), [name] (declared name or
-          ["row<i>"]), [kind] (["template"] / ["requirement"] /
-          ["learned"]), birth iteration [born], and the
-          [props]/[conflicts]/[binding] counters of
-          {!Milp.Row_stats}. *)
+          iterations: the model's row count at solve time, one
+          {!Archex_inspect.row} per model constraint with nonzero solver
+          activity (its stable id, the insertion index; its declared name
+          or ["row<i>"]; its kind, ["template"] / ["requirement"] /
+          ["learned"]; its birth iteration; and the
+          [props]/[conflicts]/[binding] counters of {!Milp.Row_stats}),
+          and the names of the rows the iteration's analysis appended. *)
   model : Milp.Model.t;
       (** a copy of the model this iteration solved, taken before the
           iteration's learned constraints extend it.  [solution] is an
@@ -129,13 +122,9 @@ val run :
 
     [inspect] (default false; zero cost when off) turns on
     search-effectiveness inspection: every [SOLVEILP] call runs with a
-    fresh {!Milp.Row_stats} activity table and a decision-capturing
-    search-log shim, neither of which changes the search, and
-    each recorded iteration carries an [insight] record (see
-    {!type:iteration}).  The per-iteration redundancy ratio and the
-    running warm-start-potential score are also published as
-    [mr.redundancy_ratio] / [mr.warm_start_potential] gauges, which the
-    CLI records into the run registry for [archex trend].
+    fresh {!Milp.Row_stats} activity table, which does not change the
+    search, and each recorded iteration carries an [insight] record (see
+    {!type:iteration}) for {!Archex_inspect.build}.
     @raise Invalid_argument if [resume_from] was checkpointed at another
     [r*], or references edges that are not candidates in [template]
     (checkpoint/template mismatch). *)

@@ -70,11 +70,11 @@ let analyze ?(obs = Archex_obs.Ctx.null) ?on_event ?engine ?budget
         in
         (* In parallel mode the per-sink oracles get a metrics-only ctx:
            metric handles are atomic and the tracer is domain-safe, but
-           the search-log sink is single-threaded and the analysis trace
-           is kept deterministic — fallback instants/events are emitted
-           after the join, in sink order.  The pool itself still gets the
-           full ctx: its pool.job spans carry the per-domain scheduling
-           picture without touching the oracle-level trace. *)
+           the analysis trace is kept deterministic — fallback
+           instants/events are emitted after the join, in sink order.
+           The pool itself still gets the full ctx: its pool.job spans
+           carry the per-domain scheduling picture without touching the
+           oracle-level trace. *)
         let task_obs =
           if parallel then Archex_obs.Ctx.make ~metrics () else obs
         in

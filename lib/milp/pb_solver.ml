@@ -786,7 +786,7 @@ let rec luby i =
   if (1 lsl !k) - 1 = i then 1 lsl (!k - 1)
   else luby (i - (1 lsl (!k - 1)) + 1)
 
-let search st ~on_event ~log ~max_decisions ~time_limit ~lower_bound
+let search st ~on_event ~max_decisions ~time_limit ~lower_bound
     ~should_stop =
   let t0 = Archex_obs.Clock.now () in
   (* progress events: build nothing unless a callback is installed *)
@@ -800,18 +800,6 @@ let search st ~on_event ~log ~max_decisions ~time_limit ~lower_bound
             elapsed = Archex_obs.Clock.now () -. t0;
             data = data () }
   in
-  (* structured search log: one record per branch decision / conflict /
-     incumbent / bound move / restart; nothing is built without a sink *)
-  let slog fields =
-    match log with
-    | None -> ()
-    | Some sink ->
-        let module J = Archex_obs.Json in
-        sink
-          (J.Obj
-             (("t", J.Num (Archex_obs.Clock.now () -. t0)) :: fields ()))
-  in
-  let module J = Archex_obs.Json in
   (* Best proven objective lower bound: starts at the caller's
      combinatorial bound and improves with the level-0 cost floor (valid
      for any solution still able to beat the incumbent, the usual
@@ -833,11 +821,7 @@ let search st ~on_event ~log ~max_decisions ~time_limit ~lower_bound
       emit Archex_obs.Event.Bound (fun () ->
           with_best
             [ ("bound", !global_lb);
-              ("conflicts", float_of_int st.n_conflicts) ]);
-      slog (fun () ->
-          [ ("ev", J.Str "bound");
-            ("bound", J.Num !global_lb);
-            ("conflicts", J.Num (float_of_int st.n_conflicts)) ])
+              ("conflicts", float_of_int st.n_conflicts) ])
     end
   in
   (* call at decision level 0, where cost_lb is a global fact *)
@@ -877,23 +861,9 @@ let search st ~on_event ~log ~max_decisions ~time_limit ~lower_bound
     note_activity st Row_stats.bump_conflict reason;
     check_limits ();
     st.conflicts_until_restart <- st.conflicts_until_restart - 1;
-    let kind = if reason = reason_bound then "bound" else "row" in
-    let level = st.dlevel in
     match analyze st reason with
-    | None ->
-        slog (fun () ->
-            [ ("ev", J.Str "conflict");
-              ("kind", J.Str kind);
-              ("level", J.Num (float_of_int level));
-              ("exhausted", J.Bool true) ]);
-        raise Exhausted
+    | None -> raise Exhausted
     | Some (lits, btlevel) ->
-        slog (fun () ->
-            [ ("ev", J.Str "conflict");
-              ("kind", J.Str kind);
-              ("level", J.Num (float_of_int level));
-              ("backjump", J.Num (float_of_int btlevel));
-              ("learned_lits", J.Num (float_of_int (Array.length lits))) ]);
         backtrack_to_level st btlevel;
         by_cost_cursor := 0;
         let ci = learn_clause st lits in
@@ -933,10 +903,6 @@ let search st ~on_event ~log ~max_decisions ~time_limit ~lower_bound
     by_cost_cursor := 0;
     st.restart_sched <- st.restart_sched + 1;
     st.n_restarts <- st.n_restarts + 1;
-    slog (fun () ->
-        [ ("ev", J.Str "restart");
-          ("restarts", J.Num (float_of_int st.n_restarts));
-          ("conflicts", J.Num (float_of_int st.n_conflicts)) ]);
     st.conflicts_until_restart <- 100 * luby (st.restart_sched + 1);
     (* diversification: jitter a few saved phases so successive descents do
        not replay the same trapped trajectory *)
@@ -996,12 +962,6 @@ let search st ~on_event ~log ~max_decisions ~time_limit ~lower_bound
                     match st.best with Some (c, _) -> c | None -> nan );
                   ("decisions", float_of_int st.n_decisions);
                   ("conflicts", float_of_int st.n_conflicts) ]);
-          slog (fun () ->
-              [ ("ev", J.Str "incumbent");
-                ( "objective",
-                  J.Num (match st.best with Some (c, _) -> c | None -> nan) );
-                ("decisions", J.Num (float_of_int st.n_decisions));
-                ("conflicts", J.Num (float_of_int st.n_conflicts)) ]);
           (* a known objective lower bound proves optimality as soon as the
              incumbent cannot be beaten by the improvement gap *)
           (match st.best with
@@ -1014,11 +974,6 @@ let search st ~on_event ~log ~max_decisions ~time_limit ~lower_bound
       | Some x ->
           st.n_decisions <- st.n_decisions + 1;
           new_decision_level st;
-          slog (fun () ->
-              [ ("ev", J.Str "decision");
-                ("var", J.Num (float_of_int x));
-                ("value", J.Num (float_of_int st.phase.(x)));
-                ("level", J.Num (float_of_int st.dlevel)) ]);
           (match assign st x st.phase.(x) reason_decision with
           | () -> ()
           | exception Conflict reason -> handle_conflict reason);
@@ -1146,7 +1101,7 @@ let record_metrics metrics (stats : stats) =
     M.add (M.counter metrics "pb.learned") (float_of_int stats.learned)
   end
 
-let solve ?(metrics = Archex_obs.Metrics.null) ?on_event ?log ?rows
+let solve ?(metrics = Archex_obs.Metrics.null) ?on_event ?rows
     ?(max_decisions = max_int) ?time_limit ?(lower_bound = neg_infinity)
     ?should_stop m =
   match build_state ?row_stats:rows m with
@@ -1181,7 +1136,7 @@ let solve ?(metrics = Archex_obs.Metrics.null) ?on_event ?log ?rows
       with
       | () ->
           let hit_limit, bound =
-            search st ~on_event ~log ~max_decisions ~time_limit ~lower_bound
+            search st ~on_event ~max_decisions ~time_limit ~lower_bound
               ~should_stop
           in
           finish hit_limit bound

@@ -35,7 +35,6 @@ type outcome =
 val solve :
   ?metrics:Archex_obs.Metrics.t ->
   ?on_event:(Archex_obs.Event.t -> unit) ->
-  ?log:(Archex_obs.Json.t -> unit) ->
   ?rows:Row_stats.t ->
   ?max_decisions:int -> ?time_limit:float -> ?lower_bound:float ->
   ?should_stop:(unit -> bool) ->
@@ -57,14 +56,6 @@ val solve :
     Heartbeat and incumbent data include the current ["bound"] when one is
     known, so a (time, incumbent, bound) timeline can be reconstructed
     from the stream (see {!Archex_obs.Convergence}).
-
-    [log] (default none; nothing is allocated without it) receives one JSON
-    object per search step — the structured search log behind the
-    [--search-log] CLI flag.  Records are tagged by ["ev"]:
-    ["decision"] (var, value, level), ["conflict"] (kind ["row"]/["bound"],
-    level, backjump, learned_lits), ["incumbent"] (objective),
-    ["bound"] (proven lower bound) and ["restart"]; every record carries
-    ["t"], the elapsed seconds since search start.
 
     [rows] (default none; no per-row work without it) accumulates per-model-row
     activity counters ({!Row_stats}): propagations caused, conflicts

@@ -1,5 +1,3 @@
-module J = Archex_obs.Json
-
 type t = {
   mutable props : int array;
   mutable confl : int array;
@@ -59,17 +57,3 @@ let total a len =
 let total_propagations t = total t.props t.len
 let total_conflicts t = total t.confl t.len
 let total_binding t = total t.bind t.len
-
-let to_json t =
-  let rows_json = ref [] in
-  for i = t.len - 1 downto 0 do
-    if activity t i > 0 then
-      rows_json :=
-        J.Obj
-          [ ("row", J.Num (float_of_int i));
-            ("props", J.Num (float_of_int (propagations t i)));
-            ("conflicts", J.Num (float_of_int (conflicts t i)));
-            ("binding", J.Num (float_of_int (binding t i))) ]
-        :: !rows_json
-  done;
-  J.Obj [ ("rows", J.Arr !rows_json) ]

@@ -37,7 +37,3 @@ val activity : t -> int -> int
 val total_propagations : t -> int
 val total_conflicts : t -> int
 val total_binding : t -> int
-
-val to_json : t -> Archex_obs.Json.t
-(** [{"rows": [{"row": i, "props": _, "conflicts": _, "binding": _},
-    ...]}] listing only rows with nonzero activity, in row order. *)

@@ -26,17 +26,6 @@ let solve_untraced ~obs ~on_event ?rows ?max_nodes ?time_limit ?should_stop
     m =
   let t0 = now () in
   let metrics = Archex_obs.Ctx.metrics obs in
-  let log = Archex_obs.Ctx.search_log obs in
-  (* search-log header: one record identifying the solve *)
-  (match log with
-  | None -> ()
-  | Some sink ->
-      let module J = Archex_obs.Json in
-      sink
-        (J.Obj
-           [ ("ev", J.Str "solve");
-             ("vars", J.Num (float_of_int (Model.var_count m)));
-             ("rows", J.Num (float_of_int (Model.constraint_count m))) ]));
   (* the implied objective lower bound goes into a copy of the model, so
      that propagation can close optimality proofs that it alone cannot
      (see Obj_bound); one search with the whole budget then stops at the
@@ -46,7 +35,7 @@ let solve_untraced ~obs ~on_event ?rows ?max_nodes ?time_limit ?should_stop
     Option.value (Obj_bound.strengthen m') ~default:neg_infinity
   in
   let outcome, (s : Pb_solver.stats) =
-    Pb_solver.solve ~metrics ?on_event ?log ?rows ?max_decisions:max_nodes
+    Pb_solver.solve ~metrics ?on_event ?rows ?max_decisions:max_nodes
       ?time_limit ~lower_bound ?should_stop m'
   in
   ( outcome,
@@ -118,29 +107,16 @@ let solve ?(obs = Archex_obs.Ctx.null) ?on_event ?rows ?time_limit ?budget m
       stats.elapsed
   end;
   (match rows with
-  | None -> ()
-  | Some rs ->
-      if Archex_obs.Metrics.enabled metrics then begin
-        let add name v =
-          Archex_obs.Metrics.add
-            (Archex_obs.Metrics.counter metrics name)
-            (float_of_int v)
-        in
-        add "solver.constraint.propagations" (Row_stats.total_propagations rs);
-        add "solver.constraint.conflicts" (Row_stats.total_conflicts rs);
-        add "solver.constraint.binding" (Row_stats.total_binding rs)
-      end;
-      match Archex_obs.Ctx.search_log obs with
-      | None -> ()
-      | Some sink ->
-          let fields =
-            match Row_stats.to_json rs with
-            | Archex_obs.Json.Obj fields -> fields
-            | _ -> []
-          in
-          sink
-            (Archex_obs.Json.Obj
-               (("ev", Archex_obs.Json.Str "row_activity") :: fields)));
+  | Some rs when Archex_obs.Metrics.enabled metrics ->
+      let add name v =
+        Archex_obs.Metrics.add
+          (Archex_obs.Metrics.counter metrics name)
+          (float_of_int v)
+      in
+      add "solver.constraint.propagations" (Row_stats.total_propagations rs);
+      add "solver.constraint.conflicts" (Row_stats.total_conflicts rs);
+      add "solver.constraint.binding" (Row_stats.total_binding rs)
+  | Some _ | None -> ());
   Archex_obs.Gc_metrics.sample metrics;
   (outcome, stats)
 

@@ -43,9 +43,7 @@ val solve :
     activity ({!Row_stats}) keyed by row insertion index in [m]:
     propagations, conflicts and binding.  It observes the search without
     changing it.  Totals are also emitted as
-    [solver.constraint.propagations/conflicts/binding] counters and, when a
-    search log is installed, as one final
-    [{"ev":"row_activity", "rows":[...]}] record.
+    [solver.constraint.propagations/conflicts/binding] counters.
 
     [obs] (default disabled) wraps the run in a ["solve"] trace span
     (attributes: vars, constraints) and accumulates the [pb.*] metrics

@@ -113,9 +113,6 @@ let build timed_events =
   flush b;
   { segments = List.rev b.segments; iterations = List.rev b.iterations }
 
-let of_event_list events =
-  build (List.map (fun (ev : Event.t) -> (ev.Event.elapsed, ev)) events)
-
 (* Trace form: progress instants carry the event fields as attrs and a
    global [ts]; the timeline time axis is seconds since the first trace
    record, so points from different solver invocations stay ordered. *)

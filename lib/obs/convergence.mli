@@ -1,10 +1,9 @@
 (** Solver convergence timelines.
 
     Reconstructs per-solve (time, incumbent, best lower bound, gap)
-    timelines from progress events — either a raw {!Event.t} stream or a
-    span trace in which the events were recorded as instants named
-    ["progress"] (see the [--trace] CLI flag).  A run containing several
-    solver invocations (e.g. one per ILP-MR iteration) yields one
+    timelines from progress events recorded in a span trace as instants
+    named ["progress"] (see the [--trace] CLI flag).  A run containing
+    several solver invocations (e.g. one per ILP-MR iteration) yields one
     {!segment} per invocation: segments split where the emitting source
     changes or its elapsed clock restarts. *)
 
@@ -38,10 +37,6 @@ val point_gap : point -> float option
 
 val of_events : Json.t list -> t
 (** Timeline from an exported trace (the NDJSON record list). *)
-
-val of_event_list : Event.t list -> t
-(** Timeline from a raw event stream; the time axis is each event's own
-    [elapsed]. *)
 
 val final_gap : segment -> float option
 (** Gap at the segment's last point. *)

@@ -1,17 +1,12 @@
 type t = {
   trace : Trace.t;
   metrics : Metrics.t;
-  search_log : (Json.t -> unit) option;
 }
 
-let null = { trace = Trace.null; metrics = Metrics.null; search_log = None }
+let null = { trace = Trace.null; metrics = Metrics.null }
 
-let make ?(trace = Trace.null) ?(metrics = Metrics.null) ?search_log () =
-  { trace; metrics; search_log }
-
-let enabled t =
-  Trace.enabled t.trace || Metrics.enabled t.metrics || t.search_log <> None
+let make ?(trace = Trace.null) ?(metrics = Metrics.null) () =
+  { trace; metrics }
 
 let trace t = t.trace
 let metrics t = t.metrics
-let search_log t = t.search_log

@@ -1,8 +1,4 @@
-(* Aggregate per-iteration insight records into the inspect report.
-
-   Everything here works off the JSON shape Ilp_mr emits, so the report
-   can be rebuilt from a recorded run (registry artifact, checkpoint
-   post-mortem) without re-running the synthesis. *)
+(* Aggregate per-iteration insight records into the inspect report. *)
 
 module J = Archex_obs.Json
 
@@ -16,13 +12,17 @@ type row = {
   binding : int;
 }
 
+type insight = {
+  iteration : int;
+  rows_total : int;
+  activity : row list;
+  learned_names : string list;
+}
+
 type iteration_summary = {
   index : int;
   rows_total : int;
-  rows_carried : int option;
   rows_learned : int;
-  redundancy_ratio : float option;
-  prefix_overlap : float option;
   total_activity : int;
   learned_activity : int;
 }
@@ -31,35 +31,9 @@ type t = {
   iterations : iteration_summary list;
   rows : row list;
   dead_learned : row list;
-  redundancy_ratio : float option;
-  warm_start_potential : float option;
 }
 
-let num key j = Option.bind (J.mem key j) J.to_float
-let int_of key j = Option.map int_of_float (num key j)
-let int_or d key j = Option.value ~default:d (int_of key j)
-let str_or d key j =
-  Option.value ~default:d (Option.bind (J.mem key j) J.to_str)
-
-let arr_of key j =
-  match J.mem key j with Some (J.Arr l) -> l | _ -> []
-
 let activity r = r.props + r.conflicts + r.binding
-
-let row_of_json j =
-  match int_of "row" j with
-  | None -> None
-  | Some id ->
-      Some
-        {
-          id;
-          name = str_or (Printf.sprintf "row%d" id) "name" j;
-          kind = str_or "template" "kind" j;
-          born = int_or 0 "born" j;
-          props = int_or 0 "props" j;
-          conflicts = int_or 0 "conflicts" j;
-          binding = int_or 0 "binding" j;
-        }
 
 let build ~insights =
   (* aggregate counters per stable row id across all iterations *)
@@ -67,56 +41,39 @@ let build ~insights =
   (* every learned row ever registered, id -> (name, born) *)
   let learned : (int, string * int) Hashtbl.t = Hashtbl.create 16 in
   let iterations =
-    List.filter_map
-      (fun ins ->
-        match ins with
-        | J.Obj _ ->
-            let index = int_or 0 "iteration" ins in
-            let rows_total = int_or 0 "rows_total" ins in
-            let rows_learned = int_or 0 "rows_learned" ins in
-            let rows_act = List.filter_map row_of_json (arr_of "activity" ins) in
-            List.iter
-              (fun r ->
-                let merged =
-                  match Hashtbl.find_opt agg r.id with
-                  | None -> r
-                  | Some p ->
-                      {
-                        p with
-                        props = p.props + r.props;
-                        conflicts = p.conflicts + r.conflicts;
-                        binding = p.binding + r.binding;
-                      }
-                in
-                Hashtbl.replace agg r.id merged)
-              rows_act;
-            List.iteri
-              (fun i name_j ->
-                match J.to_str name_j with
-                | None -> ()
-                | Some name ->
-                    Hashtbl.replace learned (rows_total + i) (name, index))
-              (arr_of "learned_names" ins);
-            let learned_activity =
-              List.fold_left
-                (fun acc r ->
-                  if String.equal r.kind "learned" then acc + activity r
-                  else acc)
-                0 rows_act
+    List.map
+      (fun (ins : insight) ->
+        List.iter
+          (fun r ->
+            let merged =
+              match Hashtbl.find_opt agg r.id with
+              | None -> r
+              | Some p ->
+                  {
+                    p with
+                    props = p.props + r.props;
+                    conflicts = p.conflicts + r.conflicts;
+                    binding = p.binding + r.binding;
+                  }
             in
-            Some
-              {
-                index;
-                rows_total;
-                rows_carried = int_of "rows_carried" ins;
-                rows_learned;
-                redundancy_ratio = num "redundancy_ratio" ins;
-                prefix_overlap = num "prefix_overlap" ins;
-                total_activity =
-                  List.fold_left (fun acc r -> acc + activity r) 0 rows_act;
-                learned_activity;
-              }
-        | _ -> None)
+            Hashtbl.replace agg r.id merged)
+          ins.activity;
+        List.iteri
+          (fun i name ->
+            Hashtbl.replace learned (ins.rows_total + i) (name, ins.iteration))
+          ins.learned_names;
+        let sum keep =
+          List.fold_left
+            (fun acc r -> if keep r then acc + activity r else acc)
+            0 ins.activity
+        in
+        {
+          index = ins.iteration;
+          rows_total = ins.rows_total;
+          rows_learned = List.length ins.learned_names;
+          total_activity = sum (fun _ -> true);
+          learned_activity = sum (fun r -> String.equal r.kind "learned");
+        })
       insights
   in
   let rows =
@@ -143,24 +100,7 @@ let build ~insights =
       learned []
     |> List.sort (fun a b -> compare a.id b.id)
   in
-  let last f =
-    List.fold_left (fun acc it -> match f it with Some v -> Some v | None -> acc)
-      None iterations
-  in
-  {
-    iterations;
-    rows;
-    dead_learned;
-    redundancy_ratio = last (fun it -> it.redundancy_ratio);
-    warm_start_potential =
-      (match
-         List.filter_map
-           (fun ins -> num "warm_start_potential" ins)
-           insights
-       with
-      | [] -> None
-      | l -> Some (List.nth l (List.length l - 1)));
-  }
+  { iterations; rows; dead_learned }
 
 let top_pruners ?(k = 10) t =
   let ranked =
@@ -185,19 +125,13 @@ let row_json r =
       ("binding", J.Num (float_of_int r.binding));
     ]
 
-let opt_num = function None -> J.Null | Some v -> J.Num v
-
 let to_json t =
   let it_json it =
     J.Obj
       [
         ("iteration", J.Num (float_of_int it.index));
         ("rows_total", J.Num (float_of_int it.rows_total));
-        ( "rows_carried",
-          opt_num (Option.map float_of_int it.rows_carried) );
         ("rows_learned", J.Num (float_of_int it.rows_learned));
-        ("redundancy_ratio", opt_num it.redundancy_ratio);
-        ("prefix_overlap", opt_num it.prefix_overlap);
         ("total_activity", J.Num (float_of_int it.total_activity));
         ("learned_activity", J.Num (float_of_int it.learned_activity));
       ]
@@ -207,8 +141,6 @@ let to_json t =
       ("iterations", J.Arr (List.map it_json t.iterations));
       ("rows", J.Arr (List.map row_json t.rows));
       ("dead_learned", J.Arr (List.map row_json t.dead_learned));
-      ("redundancy_ratio", opt_num t.redundancy_ratio);
-      ("warm_start_potential", opt_num t.warm_start_potential);
     ]
 
 let pct = function
@@ -228,22 +160,13 @@ let to_markdown ?(top_k = 10) t =
   line "- iterations inspected: %d" (List.length t.iterations);
   line "- learned rows: %d (%d dead)" n_learned_rows
     (List.length t.dead_learned);
-  line "- final redundancy ratio: %s" (pct t.redundancy_ratio);
-  line "- warm-start potential: %s" (pct t.warm_start_potential);
   line "";
-  line "## Redundancy timeline";
+  line "## Model growth";
   line "";
-  line "| iter | rows | carried | learned | redundancy | prefix overlap |";
-  line "|-----:|-----:|--------:|--------:|-----------:|---------------:|";
+  line "| iter | rows | learned |";
+  line "|-----:|-----:|--------:|";
   List.iter
-    (fun it ->
-      line "| %d | %d | %s | %d | %s | %s |" it.index it.rows_total
-        (match it.rows_carried with
-        | None -> "-"
-        | Some c -> string_of_int c)
-        it.rows_learned
-        (pct it.redundancy_ratio)
-        (pct it.prefix_overlap))
+    (fun it -> line "| %d | %d | %d |" it.index it.rows_total it.rows_learned)
     t.iterations;
   line "";
   line "## Top pruning rows";

@@ -57,8 +57,6 @@ type t = {
   mutable last_ns : int64;
   mutable pause_count : int;
   mutable pause_seconds : float;
-  mutable churn_count : int;
-  mutable lost_count : int;
   mutable next_span_id : int;
   mutable callbacks : RE.Callbacks.t option;
   mutable stopped : bool;
@@ -192,7 +190,6 @@ let on_lifecycle t ring ts lc _arg =
   match lc with
   | RE.EV_DOMAIN_TERMINATE ->
       (* the slot may be handed to a different Domain.self next; flag it *)
-      t.churn_count <- t.churn_count + 1;
       Metrics.incr t.churn;
       let stack = stack_of t ring in
       let ns = RE.Timestamp.to_int64 ts in
@@ -202,7 +199,6 @@ let on_lifecycle t ring ts lc _arg =
   | _ -> ()
 
 let on_lost t _ring n =
-  t.lost_count <- t.lost_count + n;
   Metrics.add t.lost (float_of_int n)
 
 (* ------------------------------------------------------------------ *)
@@ -264,8 +260,6 @@ let start ?(trace = Trace.null) ?(detail = false) metrics () =
       last_ns = 0L;
       pause_count = 0;
       pause_seconds = 0.;
-      churn_count = 0;
-      lost_count = 0;
       next_span_id = 0;
       callbacks = None;
       stopped = false }
@@ -298,11 +292,5 @@ let stop t =
         RE.free_cursor t.cursor
       end)
 
-let with_bridge ?trace ?detail metrics f =
-  let t = start ?trace ?detail metrics () in
-  Fun.protect ~finally:(fun () -> stop t) (fun () -> f t)
-
 let pause_count t = locked t (fun () -> t.pause_count)
 let pause_seconds t = locked t (fun () -> t.pause_seconds)
-let domain_churn t = locked t (fun () -> t.churn_count)
-let lost_events t = locked t (fun () -> t.lost_count)

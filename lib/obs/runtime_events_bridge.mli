@@ -47,21 +47,9 @@ val stop : t -> unit
 (** Final poll, close any GC phase still in flight (so the trace lane
     ends with no open span), and free the cursor.  Idempotent. *)
 
-val with_bridge :
-  ?trace:Trace.t -> ?detail:bool -> Metrics.t -> (t -> 'a) -> 'a
-(** [start], run, and [stop] even on exception.  The caller still has to
-    arrange polling (e.g. hand the bridge to {!Runtime.start}). *)
-
 val pause_count : t -> int
 (** Total pauses observed so far, across all domains. *)
 
 val pause_seconds : t -> float
 (** Total pause time observed so far, across all domains — the same sum
     the [gc.pause_seconds] histogram accumulates. *)
-
-val domain_churn : t -> int
-(** Number of domain terminations seen — when [> 0], ring-slot⇒domain
-    attribution may be stale for events after the first one. *)
-
-val lost_events : t -> int
-(** Ring-buffer events overwritten before a poll reached them. *)

@@ -85,6 +85,18 @@ let test_folded_stacks_golden () =
 let ev ?(source = "pb") ~kind ~elapsed data =
   { Event.source; kind; elapsed; data }
 
+(* Timeline of events recorded the way the CLI records them: "progress"
+   instants of a trace, with the event's fields as attributes. *)
+let timeline events =
+  let trace, records = Trace.memory () in
+  List.iter
+    (fun e ->
+      match Event.to_json e with
+      | Json.Obj attrs -> Trace.instant ~attrs trace "progress"
+      | _ -> Alcotest.fail "event JSON is not an object")
+    events;
+  Convergence.of_events (records ())
+
 let test_convergence_reconstruction () =
   let stream =
     [ ev ~kind:Event.Heartbeat ~elapsed:0.05 []; (* no info: dropped *)
@@ -99,7 +111,7 @@ let test_convergence_reconstruction () =
       ev ~source:"ilp-mr" ~kind:Event.Iteration ~elapsed:0.5
         [ ("iteration", 1.) ] ]
   in
-  let t = Convergence.of_event_list stream in
+  let t = timeline stream in
   check_int "three solver segments" 3
     (List.length t.Convergence.segments);
   check_int "one outer-loop iteration" 1
@@ -155,27 +167,21 @@ let test_event_json_roundtrip () =
     = None)
 
 let test_convergence_edge_cases () =
-  (* empty stream: well-formed empty timeline, nothing invented *)
-  let t = Convergence.of_event_list [] in
-  check_int "empty stream: no segments" 0
-    (List.length t.Convergence.segments);
-  check_int "empty stream: no iterations" 0
-    (List.length t.Convergence.iterations);
+  (* empty trace: well-formed empty timeline, nothing invented *)
   let t = Convergence.of_events [] in
   check_int "empty trace: no segments" 0
     (List.length t.Convergence.segments);
+  check_int "empty trace: no iterations" 0
+    (List.length t.Convergence.iterations);
   (* single-event stream whose one event carries no data: the heartbeat
      is dropped and no empty segment is fabricated *)
-  let t =
-    Convergence.of_event_list [ ev ~kind:Event.Heartbeat ~elapsed:0.1 [] ]
-  in
+  let t = timeline [ ev ~kind:Event.Heartbeat ~elapsed:0.1 [] ] in
   check_int "lone empty heartbeat: no segment" 0
     (List.length t.Convergence.segments);
   (* first (and only) event is an incumbent: one segment, one point,
      no bogus bound or gap *)
   let t =
-    Convergence.of_event_list
-      [ ev ~kind:Event.Incumbent ~elapsed:0.1 [ ("incumbent", 5.) ] ]
+    timeline [ ev ~kind:Event.Incumbent ~elapsed:0.1 [ ("incumbent", 5.) ] ]
   in
   match t.Convergence.segments with
   | [ seg ] -> (

@@ -1,7 +1,7 @@
 (* Tests for the search-effectiveness layer: Archex_inspect report
    building/rendering on hand-crafted insight records, and the ILP-MR
-   [?inspect] mode end to end on a small template (row activity with
-   stable ids and birth iterations, redundancy ratio, gauges). *)
+   [?inspect] mode end to end (row activity with stable ids and birth
+   iterations, row counts that carry over between iterations). *)
 
 module J = Archex_obs.Json
 module Component = Archlib.Component
@@ -48,44 +48,30 @@ let small_template () =
 (* ------------------------------------------------------------------ *)
 (* Report building from hand-crafted insight records                   *)
 
-let num v = J.Num v
-let int v = J.Num (float_of_int v)
-
 let act ~row ~name ~kind ~born ~props ~conflicts ~binding =
-  J.Obj
-    [ ("row", int row); ("name", J.Str name); ("kind", J.Str kind);
-      ("born", int born); ("props", int props); ("conflicts", int conflicts);
-      ("binding", int binding) ]
+  { Inspect.id = row; name; kind; born; props; conflicts; binding }
 
 let insight_1 =
-  J.Obj
-    [ ("iteration", int 1); ("rows_total", int 3); ("rows_carried", J.Null);
-      ("rows_learned", int 2); ("redundancy_ratio", J.Null);
-      ("decisions_captured", int 4); ("prefix_overlap", J.Null);
-      ("warm_start_potential", J.Null);
-      ( "activity",
-        J.Arr
-          [ act ~row:0 ~name:"req0" ~kind:"requirement" ~born:0 ~props:5
-              ~conflicts:1 ~binding:1;
-            act ~row:2 ~name:"row2" ~kind:"template" ~born:0 ~props:2
-              ~conflicts:1 ~binding:0 ] );
-      (* learned rows 3 and 4 appear after this solve *)
-      ("learned_names", J.Arr [ J.Str "cut_a"; J.Str "cut_b" ]) ]
+  { Inspect.iteration = 1;
+    rows_total = 3;
+    activity =
+      [ act ~row:0 ~name:"req0" ~kind:"requirement" ~born:0 ~props:5
+          ~conflicts:1 ~binding:1;
+        act ~row:2 ~name:"row2" ~kind:"template" ~born:0 ~props:2
+          ~conflicts:1 ~binding:0 ];
+    (* learned rows 3 and 4 appear after this solve *)
+    learned_names = [ "cut_a"; "cut_b" ] }
 
 let insight_2 =
-  J.Obj
-    [ ("iteration", int 2); ("rows_total", int 5); ("rows_carried", int 3);
-      ("rows_learned", int 0); ("redundancy_ratio", num 0.6);
-      ("decisions_captured", int 4); ("prefix_overlap", num 0.5);
-      ("warm_start_potential", num 0.55);
-      ( "activity",
-        J.Arr
-          [ act ~row:0 ~name:"req0" ~kind:"requirement" ~born:0 ~props:1
-              ~conflicts:0 ~binding:1;
-            (* learned row 3 fires; learned row 4 stays dead *)
-            act ~row:3 ~name:"cut_a" ~kind:"learned" ~born:1 ~props:7
-              ~conflicts:2 ~binding:0 ] );
-      ("learned_names", J.Arr []) ]
+  { Inspect.iteration = 2;
+    rows_total = 5;
+    activity =
+      [ act ~row:0 ~name:"req0" ~kind:"requirement" ~born:0 ~props:1
+          ~conflicts:0 ~binding:1;
+        (* learned row 3 fires; learned row 4 stays dead *)
+        act ~row:3 ~name:"cut_a" ~kind:"learned" ~born:1 ~props:7
+          ~conflicts:2 ~binding:0 ];
+    learned_names = [] }
 
 let test_build_aggregates () =
   let rep = Inspect.build ~insights:[ insight_1; insight_2 ] in
@@ -104,15 +90,11 @@ let test_build_aggregates () =
       check_int "dead learned born" 1 d.Inspect.born
   | l -> Alcotest.failf "expected 1 dead learned row, got %d"
            (List.length l));
-  (* summary scalars come from the last iteration that carries them *)
-  (match rep.Inspect.redundancy_ratio with
-  | Some v -> checkf 1e-9 "final redundancy" 0.6 v
-  | None -> Alcotest.fail "redundancy missing");
-  (match rep.Inspect.warm_start_potential with
-  | Some v -> checkf 1e-9 "warm-start potential" 0.55 v
-  | None -> Alcotest.fail "warm-start potential missing");
-  (* per-iteration learned-activity split *)
+  (* per-iteration row counts and learned-activity split *)
+  let it1 = List.hd rep.Inspect.iterations in
+  check_int "it1 rows learned" 2 it1.Inspect.rows_learned;
   let it2 = List.nth rep.Inspect.iterations 1 in
+  check_int "it2 rows total" 5 it2.Inspect.rows_total;
   check_int "it2 learned activity" 9 it2.Inspect.learned_activity;
   check_int "it2 total activity" 11 it2.Inspect.total_activity
 
@@ -133,9 +115,9 @@ let test_report_rendering () =
   (* JSON round-trips through the parser *)
   (match J.of_string (J.to_string (Inspect.to_json rep)) with
   | Ok j ->
-      (match J.mem "redundancy_ratio" j with
-      | Some (J.Num v) -> checkf 1e-9 "ratio in JSON" 0.6 v
-      | _ -> Alcotest.fail "redundancy_ratio not a number in JSON");
+      (match J.mem "iterations" j with
+      | Some (J.Arr its) -> check_int "iterations in JSON" 2 (List.length its)
+      | _ -> Alcotest.fail "iterations missing");
       (match J.mem "rows" j with
       | Some (J.Arr rows) -> checkb "rows nonempty" true (rows <> [])
       | _ -> Alcotest.fail "rows missing")
@@ -152,13 +134,13 @@ let test_report_rendering () =
     (fun needle ->
       checkb (Printf.sprintf "markdown mentions %S" needle) true
         (contains md needle))
-    [ "Redundancy timeline"; "Top pruning rows"; "Dead learned rows";
+    [ "Model growth"; "Top pruning rows"; "Dead learned rows";
       "cut_b"; "cut_a" ]
 
 let test_empty_report () =
   let rep = Inspect.build ~insights:[] in
   check_int "no iterations" 0 (List.length rep.Inspect.iterations);
-  checkb "no summary ratio" true (rep.Inspect.redundancy_ratio = None);
+  checkb "no rows" true (rep.Inspect.rows = [] && rep.Inspect.dead_learned = []);
   (* both renderers stay total on the empty report *)
   (match J.of_string (J.to_string (Inspect.to_json rep)) with
   | Ok _ -> ()
@@ -171,81 +153,80 @@ let test_empty_report () =
 
 let test_mr_inspect_end_to_end () =
   let t = small_template () in
-  let metrics = Archex_obs.Metrics.create () in
-  let obs = Archex_obs.Ctx.make ~metrics () in
-  match Archex.Ilp_mr.run ~obs ~inspect:true t ~r_star:0.08 with
+  match Archex.Ilp_mr.run ~inspect:true t ~r_star:0.08 with
   | Archex.Synthesis.Unfeasible _ -> Alcotest.fail "0.08 is reachable"
   | Archex.Synthesis.Synthesized (_, trace, _) ->
       checkb "needed learning" true (List.length trace >= 2);
-      List.iter
-        (fun it ->
-          match it.Archex.Ilp_mr.insight with
-          | None ->
-              Alcotest.failf "iteration %d has no insight"
-                it.Archex.Ilp_mr.index
-          | Some ins -> (
-              (match J.mem "redundancy_ratio" ins with
-              | Some J.Null -> check_int "only the first iteration lacks a \
-                                          ratio" 1 it.Archex.Ilp_mr.index
-              | Some (J.Num v) ->
-                  checkb "ratio in [0,1]" true (0. <= v && v <= 1.)
-              | _ -> Alcotest.fail "redundancy_ratio missing");
-              match J.mem "activity" ins with
-              | Some (J.Arr rows) ->
-                  checkb "some row was active" true (rows <> []);
-                  List.iter
-                    (fun r ->
-                      (match J.mem "row" r with
-                      | Some (J.Num id) ->
-                          checkb "stable id in range" true
-                            (0. <= id
-                            && (match J.mem "rows_total" ins with
-                               | Some (J.Num n) -> id < n
-                               | _ -> false))
-                      | _ -> Alcotest.fail "activity row without id");
-                      match J.mem "kind" r with
-                      | Some (J.Str k) ->
-                          checkb "known kind" true
-                            (List.mem k
-                               [ "template"; "requirement"; "learned" ])
-                      | _ -> Alcotest.fail "activity row without kind")
-                    rows
-              | _ -> Alcotest.fail "activity table missing"))
-        trace;
-      (* later iterations attribute activity to learned rows *)
-      let learned_active =
-        List.exists
+      let insights =
+        List.map
           (fun it ->
             match it.Archex.Ilp_mr.insight with
-            | Some ins -> (
-                match J.mem "activity" ins with
-                | Some (J.Arr rows) ->
-                    List.exists
-                      (fun r ->
-                        J.mem "kind" r = Some (J.Str "learned"))
-                      rows
-                | _ -> false)
-            | None -> false)
+            | Some ins -> ins
+            | None ->
+                Alcotest.failf "iteration %d has no insight"
+                  it.Archex.Ilp_mr.index)
           trace
       in
-      checkb "a learned row shows solver activity" true learned_active;
-      (* the trend-consumable gauges were published *)
-      (match Archex_obs.Metrics.value metrics "mr.redundancy_ratio" with
-      | Some v -> checkb "gauge in [0,1]" true (0. <= v && v <= 1.)
-      | None -> Alcotest.fail "mr.redundancy_ratio gauge missing");
-      (match
-         Archex_obs.Metrics.value metrics "mr.warm_start_potential"
-       with
-      | Some v -> checkb "warm-start gauge in [0,1]" true (0. <= v && v <= 1.)
-      | None -> Alcotest.fail "mr.warm_start_potential gauge missing");
+      List.iter
+        (fun (ins : Inspect.insight) ->
+          checkb "some row was active" true (ins.activity <> []);
+          List.iter
+            (fun (r : Inspect.row) ->
+              checkb "stable id in range" true
+                (0 <= r.id && r.id < ins.rows_total);
+              checkb "known kind" true
+                (List.mem r.kind [ "template"; "requirement"; "learned" ]))
+            ins.activity)
+        insights;
+      (* later iterations attribute activity to learned rows *)
+      checkb "a learned row shows solver activity" true
+        (List.exists
+           (fun (ins : Inspect.insight) ->
+             List.exists
+               (fun (r : Inspect.row) -> r.kind = "learned")
+               ins.activity)
+           insights);
       (* the whole trace's insights feed the report builder *)
-      let insights =
-        List.filter_map (fun it -> it.Archex.Ilp_mr.insight) trace
-      in
       let rep = Inspect.build ~insights in
       check_int "report covers every iteration" (List.length trace)
         (List.length rep.Inspect.iterations);
       checkb "report has active rows" true (rep.Inspect.rows <> [])
+
+(* Learn_cons only appends, so every iteration solves the previous
+   iteration's rows plus the rows that iteration learned, and its
+   activity ids stay below its own row count. *)
+let test_mr_inspect_rows_carry_over () =
+  let t = (Eps.Eps_template.make ~generators:2).Eps.Eps_template.template in
+  match Archex.Ilp_mr.run ~inspect:true t ~r_star:2e-6 with
+  | Archex.Synthesis.Unfeasible _ -> Alcotest.fail "g = 2 meets 2e-6"
+  | Archex.Synthesis.Synthesized (_, trace, _) ->
+      checkb "several iterations" true (List.length trace >= 2);
+      let insights =
+        List.filter_map (fun it -> it.Archex.Ilp_mr.insight) trace
+      in
+      check_int "every iteration inspected" (List.length trace)
+        (List.length insights);
+      List.iter2
+        (fun it (ins : Inspect.insight) ->
+          check_int "rows_total is the solved model's row count"
+            (Milp.Model.constraint_count it.Archex.Ilp_mr.model)
+            ins.rows_total;
+          List.iter
+            (fun (r : Inspect.row) ->
+              checkb "activity id below rows_total" true
+                (r.id < ins.rows_total))
+            ins.activity)
+        trace insights;
+      let rec carry = function
+        | (prev : Inspect.iteration_summary) :: (next :: _ as rest) ->
+            check_int
+              (Printf.sprintf "iteration %d rows" next.index)
+              (prev.rows_total + prev.rows_learned)
+              next.rows_total;
+            carry rest
+        | [ _ ] | [] -> ()
+      in
+      carry (Inspect.build ~insights).Inspect.iterations
 
 let test_mr_inspect_off_by_default () =
   let t = small_template () in
@@ -309,6 +290,8 @@ let () =
         [
           Alcotest.test_case "inspect end to end" `Quick
             test_mr_inspect_end_to_end;
+          Alcotest.test_case "rows carry over between iterations" `Quick
+            test_mr_inspect_rows_carry_over;
           Alcotest.test_case "off by default" `Quick
             test_mr_inspect_off_by_default;
           Alcotest.test_case "does not change the result" `Quick
