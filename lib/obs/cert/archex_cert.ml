@@ -44,7 +44,15 @@ type expr = {
   const : float;
 }
 
-type row = { e : expr; cmp : Model.cmp; rhs : float; tol : float }
+(* [maxw] is the row's largest |coefficient|: no single term can swing
+   the row's range further than that. *)
+type row = {
+  e : expr;
+  cmp : Model.cmp;
+  rhs : float;
+  tol : float;
+  maxw : float;
+}
 
 type compiled = {
   lb : float array;
@@ -73,14 +81,12 @@ let compile m =
   let ub = Array.init n (Model.upper_bound m) in
   let row { Model.expr; cmp; rhs; _ } =
     let e = compile_expr lb ub expr in
-    (* feasibility tolerance relative to the row's own scale *)
-    let scale =
-      Array.fold_left
-        (fun acc a -> Float.max acc (Float.abs a))
-        (Float.max 1. (Float.abs rhs))
-        e.coefs
+    let maxw =
+      Array.fold_left (fun acc a -> Float.max acc (Float.abs a)) 0. e.coefs
     in
-    { e; cmp; rhs; tol = 1e-9 *. scale }
+    (* feasibility tolerance relative to the row's own scale *)
+    let scale = Float.max maxw (Float.max 1. (Float.abs rhs)) in
+    { e; cmp; rhs; tol = 1e-9 *. scale; maxw }
   in
   { lb;
     ub;
@@ -179,16 +185,27 @@ let rec first_forced free value row r ~need_hi k =
     if free.(x) && (not (is_assigned value.(x))) && bad then x
     else first_forced free value row r ~need_hi (k + 1)
 
+(* Whether even the widest term could make the row infeasible on its
+   own; when not, no term can (float subtraction is monotone), so the
+   scan would find nothing. *)
+let can_force row r ~need_hi =
+  if need_hi then r.hi -. row.maxw < row.rhs -. row.tol
+  else r.lo +. row.maxw > row.rhs +. row.tol
+
+let forced_from free value row r ~need_hi =
+  if can_force row r ~need_hi then first_forced free value row r ~need_hi 0
+  else -1
+
 let row_state free value row r =
   minmax value row.e r;
   if infeasible row r then row_infeasible
   else
     match row.cmp with
-    | Model.Ge -> first_forced free value row r ~need_hi:true 0
-    | Model.Le -> first_forced free value row r ~need_hi:false 0
+    | Model.Ge -> forced_from free value row r ~need_hi:true
+    | Model.Le -> forced_from free value row r ~need_hi:false
     | Model.Eq ->
-        let x = first_forced free value row r ~need_hi:true 0 in
-        if x >= 0 then x else first_forced free value row r ~need_hi:false 0
+        let x = forced_from free value row r ~need_hi:true in
+        if x >= 0 then x else forced_from free value row r ~need_hi:false
 
 let leaf_bound = J.Obj [ ("leaf", J.Str "bound") ]
 
