@@ -16,9 +16,21 @@ val encode : ?obs:Archex_obs.Ctx.t -> Archlib.Template.t -> t
       cost;
     - the objective of Eq. 1;
     - one row (or row group) per template requirement (Eqs. 2–4).
+
+    A {!Archlib.Requirement.Usage_order} declaration, its nodes sorted by
+    id, lowers to the δ-order rows [δ_a ≥ δ_b] and, for each adjacent
+    pair [(a, b)], one symmetry row named ["lex_a_b"]: a prefix of the
+    lex-leader constraint [x ≤lex σ(x)] for the swap [σ = (a b)], over
+    the model's own variable order (candidate edges by [(u, v)]
+    descending, then the rest).  Its terms are the first [k] edge pairs
+    that [σ] exchanges, [k] being [a]'s number of candidate successors
+    (at most 20), weighted [2^(k−1)], …, [2], [1].  The rows keep an
+    optimum whenever the declared swaps are automorphisms of the model,
+    which {!Archlib.Template.validate_all} checks on the template.
     [obs] (default disabled) wraps the compilation in an ["encode"] span.
     @raise Invalid_argument if a requirement references a non-candidate
-    edge. *)
+    edge, or a [Usage_order] pair's swap maps a candidate edge to a
+    non-candidate. *)
 
 val template : t -> Archlib.Template.t
 val model : t -> Milp.Model.t

@@ -398,7 +398,7 @@ let test_mr_known_answer () =
           trace
       in
       Alcotest.(check (list int)) "tree nodes per iteration"
-        [ 265; 315; 539; 345 ] nodes;
+        [ 253; 247; 283; 225 ] nodes;
       Alcotest.(check (float 1e-9)) "final cost" 18012.
         arch.Archex.Synthesis.cost;
       match
@@ -409,7 +409,7 @@ let test_mr_known_answer () =
       | Error e -> Alcotest.failf "chain rejected: %s" e
       | Ok s ->
           check_int "iterations" 4 s.Cert.iterations;
-          check_int "total tree nodes" 1464 s.Cert.total_tree_nodes;
+          check_int "total tree nodes" 1008 s.Cert.total_tree_nodes;
           checkb "final objective" true (s.Cert.final_objective = Some 18012.))
 
 (* Each iteration keeps the model it solved: its certificate embeds that
@@ -451,10 +451,10 @@ let test_ar_known_answer () =
       | None -> Alcotest.fail "no certificate"
       | Some (Error e) -> Alcotest.failf "certify failed: %s" e
       | Some (Ok cert) -> (
-          check_int "tree nodes" 1713 (cert_nodes cert);
+          check_int "tree nodes" 861 (cert_nodes cert);
           match Cert.check cert with
           | Error e -> Alcotest.failf "certificate rejected: %s" e
-          | Ok s -> check_int "checked tree nodes" 1713 s.Cert.tree_nodes))
+          | Ok s -> check_int "checked tree nodes" 861 s.Cert.tree_nodes))
 
 (* ------------------------------------------------------------------ *)
 (* Explanation report                                                  *)
