@@ -97,6 +97,13 @@ let describe arch =
     (Digraph.edge_count arch.Archex.Synthesis.config)
 
 let () =
+  (* the interchangeability declarations must hold for the symmetry rows
+     they lower to to keep the optimum *)
+  (match Template.validate_all (template ()) with
+  | Ok () -> ()
+  | Error violations ->
+      List.iter prerr_endline violations;
+      exit 1);
   List.iter
     (fun r_star ->
       Format.printf "=== delivery failure requirement r* = %g ===@." r_star;

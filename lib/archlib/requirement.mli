@@ -20,11 +20,19 @@ type t =
   | Require_used of int
       (** [δ_v = 1]: the component must be instantiated *)
   | Usage_order of int list
-      (** [δ_{v1} ≥ δ_{v2} ≥ …]: canonical instantiation order for
-          interchangeable components — a symmetry-breaking composition rule
-          that preserves the optimum whenever the listed components are
-          mutually substitutable (same type, attributes and candidate
-          connectivity) *)
+      (** Interchangeable components.  The declaration promises that
+          swapping any two of the listed nodes maps the encoded model onto
+          itself: same type, cost, failure probability and capacity, the
+          same candidate predecessors and successors at the same switch
+          costs, and the requirements naming either node exchanged for
+          one another ({!Template.validate_all} checks this; sinks are
+          never interchangeable, as ILP-MR learns rows per sink).
+          [Archex.Gen_ilp] sorts the nodes by id and lowers the
+          declaration to the instantiation order [δ_{v1} ≥ δ_{v2} ≥ …]
+          plus one lex-leader row per adjacent pair, which keep one
+          representative of each class of wirings that differ only by a
+          permutation of the listed nodes.  The optimum is preserved when
+          the promise holds; otherwise the rows may cut it off. *)
 
 (** {1 Smart constructors} *)
 

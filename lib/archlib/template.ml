@@ -147,6 +147,79 @@ let expand_redundant_pairs t config =
   done;
   g
 
+(* A requirement with the swap [s] applied to its node references, its
+   lists sorted so that rows equal as constraints compare equal. *)
+let canonical ?(s = Fun.id) r =
+  let edge (u, v) = (s u, s v) in
+  let sorted f l = List.sort compare (List.map f l) in
+  match r with
+  | Requirement.Edge_card (es, c, k) ->
+      Requirement.Edge_card (sorted edge es, c, k)
+  | Linear_edges (ts, c, rhs) ->
+      Linear_edges (sorted (fun (e, w) -> (edge e, w)) ts, c, rhs)
+  | Conditional_connect (ante, cons) ->
+      Conditional_connect (sorted edge ante, sorted edge cons)
+  | Usage_balance (ps, cs) ->
+      let node (v, w) = (s v, w) in
+      Usage_balance (sorted node ps, sorted node cs)
+  | Require_used v -> Require_used (s v)
+  | Usage_order vs -> Usage_order (sorted s vs)
+
+let names_node r x =
+  let edge (u, v) = u = x || v = x in
+  match r with
+  | Requirement.Edge_card (es, _, _) -> List.exists edge es
+  | Linear_edges (ts, _, _) -> List.exists (fun (e, _) -> edge e) ts
+  | Conditional_connect (ante, cons) ->
+      List.exists edge ante || List.exists edge cons
+  | Usage_balance (ps, cs) ->
+      List.exists (fun (v, _) -> v = x) ps
+      || List.exists (fun (v, _) -> v = x) cs
+  | Require_used v -> v = x
+  | Usage_order vs -> List.mem x vs
+
+(* What tells nodes [a] and [b] apart, so that the swap σ = (a b) is not
+   an automorphism of the encoded model: the attributes Eq. 1 and the
+   analyses read, the candidate neighbourhoods with their switch costs,
+   the sources, and every requirement that names one of them (other
+   than the interchangeability declarations themselves). *)
+let swap_differences t a b =
+  let s v = if v = a then b else if v = b then a else v in
+  let ca = t.components.(a) and cb = t.components.(b) in
+  let same_image nbrs =
+    List.sort compare (List.map s (nbrs t.candidate a))
+    = List.sort compare (nbrs t.candidate b)
+  in
+  let switch_costs_match =
+    List.for_all
+      (fun u -> switch_cost t a u = switch_cost t b (s u))
+      (Digraph.pred t.candidate a @ Digraph.succ t.candidate a)
+  in
+  let reqs =
+    List.filter
+      (function Requirement.Usage_order _ -> false | _ -> true)
+      (requirements t)
+  in
+  let canon = List.map (fun r -> canonical r) reqs in
+  let requirements_match =
+    List.for_all
+      (fun r ->
+        (not (names_node r a || names_node r b))
+        || List.mem (canonical ~s r) canon)
+      reqs
+  in
+  List.filter_map
+    (fun (what, same) -> if same then None else Some what)
+    [ ("type", ca.Component.type_id = cb.Component.type_id);
+      ("cost", ca.cost = cb.cost);
+      ("failure probability", ca.fail_prob = cb.fail_prob);
+      ("capacity", ca.capacity = cb.capacity);
+      ("candidate predecessors", same_image Digraph.pred);
+      ("candidate successors", same_image Digraph.succ);
+      ("switch costs", switch_costs_match);
+      ("source membership", List.mem a t.sources = List.mem b t.sources);
+      ("requirements", requirements_match) ]
+
 let validate_all t =
   let bad = ref [] in
   let check cond msg = if not cond then bad := msg :: !bad in
@@ -205,7 +278,33 @@ let validate_all t =
           List.iter (fun (v, _) -> check_node i v) providers;
           List.iter (fun (v, _) -> check_node i v) consumers
       | Requirement.Require_used v -> check_node i v
-      | Requirement.Usage_order vs -> List.iter (check_node i) vs)
+      | Requirement.Usage_order vs ->
+          List.iter (check_node i) vs;
+          (* the declaration promises each adjacent swap is a symmetry;
+             ILP-MR learns rows per sink, so sinks never are *)
+          List.iter
+            (fun v ->
+              check
+                (not (List.mem v t.sinks))
+                (Printf.sprintf
+                   "requirement %d declares sink %d interchangeable" i v))
+            vs;
+          let rec pairs = function
+            | a :: (b :: _ as rest) ->
+                (match swap_differences t a b with
+                | [] -> ()
+                | ds ->
+                    check false
+                      (Printf.sprintf
+                         "requirement %d declares nodes %d and %d \
+                          interchangeable, but they differ in %s"
+                         i a b (String.concat ", " ds)));
+                pairs rest
+            | [ _ ] | [] -> ()
+          in
+          pairs
+            (List.sort_uniq compare
+               (List.filter (fun v -> v >= 0 && v < n) vs)))
     (List.rev t.reqs_rev);
   (* type chain *)
   (match t.chain with

@@ -88,7 +88,13 @@ val validate_all : t -> (unit, string list) result
 (** Every violation in the template, not just the first: all component
     attribute violations ({!Component.violations}), non-finite or negative
     switch costs, missing / overlapping sources and sinks, requirement
-    references to non-candidate edges or unconnectable nodes, and the type
-    chain checks of {!validate}.  The synthesis entry points wrap the
-    result into a single [Archex_resilience.Error.Invalid_input] so a
-    hostile library load is rejected with one complete report. *)
+    references to non-candidate edges or unconnectable nodes, the type
+    chain checks of {!validate}, and every {!Requirement.Usage_order}
+    that breaks its promise: one that names a sink, or whose adjacent
+    nodes (sorted by id) differ in type, cost, failure probability,
+    capacity, source membership, candidate predecessors or successors,
+    the switch costs to them, or in any other requirement that names one
+    of the two (the requirement set must map onto itself when the two
+    are swapped).  No synthesis entry point calls it: call it where a
+    template arrives from outside, such as a library load, to reject it
+    with one complete report. *)

@@ -182,6 +182,90 @@ let test_usage_order_constructor () =
   | Requirement.Usage_order [ 3; 1; 2 ] -> ()
   | _ -> Alcotest.fail "use_in_order shape"
 
+(* Source S -> interchangeable M1, M2, M3 -> sink T, each middle fed by
+   S and feeding T through a contactor of cost 2, with [tweak] applied
+   before the middles are declared interchangeable. *)
+let slots_template tweak =
+  let comp ?(cost = 10.) ty name =
+    Component.make ~name ~type_id:ty ~cost ~fail_prob:0.01 ~capacity:5. ()
+  in
+  let mids = [ 1; 2; 3 ] in
+  let t =
+    Template.create
+      [| comp 0 "S"; comp 1 "M1"; comp 1 "M2"; comp 1 "M3"; comp 2 "T" |]
+  in
+  List.iter
+    (fun m ->
+      Template.add_candidate_edge ~switch_cost:2. t 0 m;
+      Template.add_candidate_edge ~switch_cost:2. t m 4)
+    mids;
+  Template.set_sources t [ 0 ];
+  Template.set_sinks t [ 4 ];
+  Template.add_requirement t (Requirement.require_powered 4);
+  Template.add_requirement t
+    (Requirement.at_least_incoming ~to_:4 ~from_:mids 1);
+  List.iter
+    (fun m ->
+      Template.add_requirement t
+        (Requirement.if_connected_then ~from_:[ 0 ] ~via:m ~to_:[ 4 ]))
+    mids;
+  tweak t;
+  Template.add_requirement t (Requirement.use_in_order mids);
+  t
+
+let test_usage_order_declarations_checked () =
+  let rejects what frag tweak =
+    match Template.validate_all (slots_template tweak) with
+    | Ok () -> Alcotest.failf "%s: mis-declared pair accepted" what
+    | Error vs ->
+        checkb
+          (Printf.sprintf "%s reported (%s)" what (String.concat "; " vs))
+          true
+          (List.exists
+             (fun v ->
+               let contains s sub =
+                 let n = String.length s and k = String.length sub in
+                 let rec go i =
+                   i + k <= n && (String.sub s i k = sub || go (i + 1))
+                 in
+                 go 0
+               in
+               contains v frag)
+             vs)
+  in
+  (match Template.validate_all (slots_template ignore) with
+  | Ok () -> ()
+  | Error vs -> Alcotest.failf "symmetric slots rejected: %s" (String.concat "; " vs));
+  rejects "extra candidate edge" "candidate successors" (fun t ->
+      Template.add_candidate_edge ~switch_cost:2. t 2 3);
+  rejects "requirement naming one slot" "requirements" (fun t ->
+      Template.add_requirement t (Requirement.forbid_edge 0 3));
+  rejects "requirement weighting one slot" "requirements" (fun t ->
+      Template.add_requirement t
+        (Requirement.supply_covers_demand ~providers:[ (1, 5.); (2, 4.); (3, 5.) ]
+           ~consumers:[ (4, 5.) ]));
+  rejects "a sink declared" "sink 4" (fun t ->
+      Template.add_requirement t (Requirement.use_in_order [ 3; 4 ]));
+  (* attributes: rebuild with one middle priced differently *)
+  let priced =
+    let t = slots_template ignore in
+    let cs = Template.components t in
+    cs.(2) <- { (cs.(2)) with Component.cost = 11. };
+    let t' = Template.create cs in
+    List.iter
+      (fun (u, v) -> Template.add_candidate_edge ~switch_cost:2. t' u v)
+      (Template.candidate_edges t);
+    Template.set_sources t' [ 0 ];
+    Template.set_sinks t' [ 4 ];
+    List.iter (Template.add_requirement t') (Template.requirements t);
+    t'
+  in
+  match Template.validate_all priced with
+  | Ok () -> Alcotest.fail "differently priced slots accepted"
+  | Error vs ->
+      checkb "cost difference named" true
+        (List.exists (fun v -> String.ends_with ~suffix:"differ in cost" v) vs)
+
 let test_requirement_pp_total () =
   (* the printer covers every constructor without raising *)
   let reqs =
@@ -218,6 +302,8 @@ let () =
       ( "requirement",
         [ quick "smart constructor shapes" test_requirement_shapes;
           quick "usage order" test_usage_order_constructor;
+          quick "usage order declarations checked"
+            test_usage_order_declarations_checked;
           quick "printer is total" test_requirement_pp_total ] );
       ( "template",
         [ quick "structure" test_template_structure;

@@ -405,6 +405,181 @@ let test_mr_and_ar_agree_on_small () =
         (Digraph.edge_count a_ar.Archex.Synthesis.config > 0)
   | _ -> Alcotest.fail "both must synthesize"
 
+(* ------------------------------------------------------------------ *)
+(* Symmetry rows                                                       *)
+
+module Json = Archex_obs.Json
+
+let is_symmetry_row row =
+  match Json.mem "name" row with
+  | Some (Json.Str n) -> String.starts_with ~prefix:"lex_" n
+  | _ -> false
+
+(* The model with its symmetry rows (Gen_ilp names them lex_a_b) dropped,
+   and how many there were. *)
+let without_symmetry_rows m =
+  let dropped = ref 0 in
+  let keep row =
+    if is_symmetry_row row then (incr dropped; false) else true
+  in
+  let json =
+    match Model.to_json m with
+    | Json.Obj fields ->
+        Json.Obj
+          (List.map
+             (function
+               | "rows", Json.Arr rows -> ("rows", Json.Arr (List.filter keep rows))
+               | field -> field)
+             fields)
+    | j -> j
+  in
+  match Model.of_json json with
+  | Ok m -> (m, !dropped)
+  | Error e -> Alcotest.failf "model round trip: %s" e
+
+let optimum m =
+  match Solver.solve m with
+  | Solver.Optimal { objective; _ }, _ -> Some objective
+  | Solver.Infeasible, _ -> None
+  | Solver.Limit_reached _, _ -> Alcotest.fail "solve stopped at its limit"
+
+(* Solving with and without the symmetry rows gives the same optimum. *)
+let check_rows_keep_optimum ~what ~pairs m =
+  let bare, dropped = without_symmetry_rows m in
+  check_int (what ^ ": symmetry rows dropped") pairs dropped;
+  Alcotest.(check (option (float 1e-6)))
+    (what ^ ": same optimum") (optimum bare) (optimum m)
+
+(* Adjacent declared pairs: three interchangeable layers of g slots (4
+   on the base template). *)
+let eps_pairs g = 3 * (g - 1)
+
+let test_symmetry_rows_keep_mr_optima () =
+  let cases =
+    List.concat_map
+      (fun g ->
+        List.map
+          (fun r -> (Printf.sprintf "g=%d r*=%g" g r, g, Eps.Eps_template.make ~generators:g, r))
+          [ 2e-3; 1e-4; 1e-6 ])
+      [ 2; 3 ]
+    @ [ ("base r*=2e-6", 4, Eps.Eps_template.base (), 2e-6) ]
+  in
+  List.iter
+    (fun (what, slots, inst, r_star) ->
+      match Archex.Ilp_mr.run inst.Eps.Eps_template.template ~r_star with
+      | Archex.Synthesis.Unfeasible _ -> Alcotest.failf "%s unfeasible" what
+      | Archex.Synthesis.Synthesized (_, trace, _) ->
+          List.iter
+            (fun it ->
+              check_rows_keep_optimum
+                ~what:(Printf.sprintf "%s iteration %d" what it.Archex.Ilp_mr.index)
+                ~pairs:(eps_pairs slots) it.Archex.Ilp_mr.model)
+            trace)
+    cases
+
+let test_symmetry_rows_keep_ar_optima () =
+  List.iter
+    (fun g ->
+      List.iter
+        (fun r_star ->
+          let inst = Eps.Eps_template.make ~generators:g in
+          let enc, _ =
+            Archex.Ilp_ar.compile inst.Eps.Eps_template.template ~r_star
+          in
+          check_rows_keep_optimum
+            ~what:(Printf.sprintf "ILP-AR g=%d r*=%g" g r_star)
+            ~pairs:(eps_pairs g) (Archex.Gen_ilp.model enc))
+        [ 2e-3; 1e-4; 1e-6 ])
+    [ 2; 3 ]
+
+(* A random template with two layers of interchangeable slots: sources A
+   (2 or 3 slots) -> B (2 or 3 slots, 5 in all) -> one sink, full
+   bipartite candidates, and only requirements that treat a layer's
+   slots alike.  Small enough for Milp.Brute. *)
+let gen_slot_template =
+  QCheck.Gen.(
+    let* m, n = oneofl [ (2, 2); (2, 3); (3, 2) ] in
+    let* costs = pair (int_range 1 5) (int_range 1 5) in
+    let* sw = pair (int_range 0 3) (int_range 0 3) in
+    let* a_out = int_range 1 2 in
+    let* b_in = int_range 1 2 in
+    let* sink_in = int_range 1 2 in
+    let* a_needed = int_range 0 2 in
+    return ((m, n), costs, sw, (a_out, b_in, sink_in, a_needed)))
+
+let slot_template ((m, n), (a_cost, b_cost), (sw_ab, sw_bt), caps) =
+  let a_out, b_in, sink_in, a_needed = caps in
+  let comp ty cost name =
+    Component.make ~name ~type_id:ty ~cost:(float_of_int cost)
+      ~fail_prob:0.01 ~capacity:1. ()
+  in
+  let a = List.init m Fun.id in
+  let b = List.init n (fun i -> m + i) in
+  let sink = m + n in
+  let t =
+    Template.create
+      (Array.of_list
+         (List.map (fun _ -> comp 0 a_cost "A") a
+         @ List.map (fun _ -> comp 1 b_cost "B") b
+         @ [ comp 2 0 "T" ]))
+  in
+  let connect sw us vs =
+    List.iter
+      (fun u ->
+        List.iter
+          (fun v ->
+            Template.add_candidate_edge ~switch_cost:(float_of_int sw) t u v)
+          vs)
+      us
+  in
+  connect sw_ab a b;
+  connect sw_bt b [ sink ];
+  Template.set_sources t a;
+  Template.set_sinks t [ sink ];
+  let add = Template.add_requirement t in
+  add (Requirement.require_powered sink);
+  add (Requirement.at_least_incoming ~to_:sink ~from_:b sink_in);
+  List.iter
+    (fun x -> add (Requirement.at_most_connections ~from_:x ~to_:b a_out))
+    a;
+  List.iter
+    (fun x ->
+      add (Requirement.at_most_incoming ~to_:x ~from_:a b_in);
+      add
+        (Requirement.Conditional_connect
+           ([ (x, sink) ], List.map (fun y -> (y, x)) a)))
+    b;
+  add
+    (Requirement.supply_covers_demand
+       ~providers:(List.map (fun x -> (x, 1.)) a)
+       ~consumers:[ (sink, float_of_int a_needed) ]);
+  add (Requirement.use_in_order a);
+  add (Requirement.use_in_order b);
+  t
+
+let brute m =
+  match Milp.Brute.solve m with
+  | Milp.Brute.Optimal { objective; _ } -> Some objective
+  | Milp.Brute.Infeasible -> None
+
+let prop_symmetry_rows_keep_brute_optimum =
+  QCheck.Test.make ~name:"symmetry rows keep the brute-force optimum"
+    ~count:40
+    (QCheck.make gen_slot_template)
+    (fun spec ->
+      let t = slot_template spec in
+      (match Template.validate_all t with
+      | Ok () -> ()
+      | Error vs ->
+          QCheck.Test.fail_reportf "generator made an invalid template: %s"
+            (String.concat "; " vs));
+      let m = Archex.Gen_ilp.model (Archex.Gen_ilp.encode t) in
+      let bare, dropped = without_symmetry_rows m in
+      let (m_a, n_b), _, _, _ = spec in
+      dropped = m_a - 1 + (n_b - 1)
+      && brute m = brute bare
+      && optimum m = brute bare)
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "core"
@@ -447,4 +622,11 @@ let () =
             test_ilp_ar_unfeasible_when_impossible;
           quick "missing type chain rejected" test_ilp_ar_requires_chain;
           quick "MR and AR agree on a small template"
-            test_mr_and_ar_agree_on_small ] ) ]
+            test_mr_and_ar_agree_on_small ] );
+      ( "symmetry",
+        [ quick "rows keep every ILP-MR iteration's optimum"
+            test_symmetry_rows_keep_mr_optima;
+          quick "rows keep the ILP-AR optimum"
+            test_symmetry_rows_keep_ar_optima;
+          QCheck_alcotest.to_alcotest prop_symmetry_rows_keep_brute_optimum
+        ] ) ]

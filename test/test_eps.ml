@@ -78,6 +78,20 @@ let test_scaling_demand_within_supply () =
          <= total inst.Eps.Eps_template.generators))
     [ 1; 2; 4; 7; 10 ]
 
+(* The templates' interchangeability declarations keep their promise:
+   the symmetry rows Gen_ilp derives from them are sound. *)
+let test_templates_validate () =
+  let check what (inst : Eps.Eps_template.instance) =
+    match Template.validate_all inst.Eps.Eps_template.template with
+    | Ok () -> ()
+    | Error vs -> Alcotest.failf "%s rejected: %s" what (String.concat "; " vs)
+  in
+  check "base" (Eps.Eps_template.base ());
+  List.iter
+    (fun g ->
+      check (Printf.sprintf "g=%d" g) (Eps.Eps_template.make ~generators:g))
+    [ 2; 3; 4; 5; 6 ]
+
 let test_layer_of () =
   let inst = Eps.Eps_template.base () in
   Alcotest.(check string) "gen layer" "GEN"
@@ -163,7 +177,8 @@ let () =
         [ quick "base shape" test_base_template_shape;
           quick "scaling family |V| = 5g" test_scaling_family_sizes;
           quick "demand within supply" test_scaling_demand_within_supply;
-          quick "layer lookup" test_layer_of ] );
+          quick "layer lookup" test_layer_of;
+          quick "declarations validate" test_templates_validate ] );
       ( "synthesis",
         [ quick "minimal architecture = Fig. 2a"
             test_minimal_architecture_matches_fig2a;
