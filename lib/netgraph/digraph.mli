@@ -46,7 +46,7 @@ val degree : t -> int -> int
 (** [degree g v] is [in_degree g v + out_degree g v]. *)
 
 val edges : t -> (int * int) list
-(** All edges in lexicographic order. *)
+(** All edges, in descending lexicographic order. *)
 
 val nodes : t -> int list
 (** [0; 1; ...; n-1]. *)
