@@ -24,7 +24,12 @@
 
     A valid tree covers the whole search space, so together with a
     feasibility check of the incumbent it proves optimality (or, with no
-    incumbent, infeasibility).  {!check} replays the tree using only
+    incumbent, infeasibility) of the embedded model as solved, its
+    symmetry rows (the [lex_a_b] rows of [Archex.Gen_ilp]) included.
+    That those rows keep an optimum of the model without them is
+    justified by the template's interchangeability declarations
+    ([Archlib.Requirement.Usage_order], checked by
+    [Archlib.Template.validate_all]), not by the certificate.  {!check} replays the tree using only
     {!Milp.Model} / {!Milp.Lin_expr} arithmetic — no solver code — so the
     proof does not depend on the correctness of {!Milp.Pb_solver}.  The
     improvement gap is recomputed from the model (a full unit minus
